@@ -101,6 +101,14 @@ def _tonelli_shanks(a: int, p: int) -> int:
     return r
 
 
+def _parse_int(digits: str, text: str, pos: int) -> int:
+    """int(digits); more digits than Python converts is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("too many digits", text, pos) from None
+
+
 def _parse_poly_text(text: str, var: str) -> dict[int, int]:
     """Parse ``text`` as a sum of terms in ``var``.
 
@@ -126,7 +134,7 @@ def _parse_poly_text(text: str, var: str) -> dict[int, int]:
         j = i
         while j < n and s[j].isdigit():
             j += 1
-        coeff = int(s[i:j]) if j > i else None
+        coeff = _parse_int(s[i:j], text, i) if j > i else None
         i = j
         has_star = i < n and s[i] == "*"
         if has_star:
@@ -142,7 +150,7 @@ def _parse_poly_text(text: str, var: str) -> dict[int, int]:
                     j += 1
                 if j == i:
                     raise ParseError("expected exponent digits", text, i)
-                exp = int(s[i:j])
+                exp = _parse_int(s[i:j], text, i)
                 if exp > _MAX_EXPONENT:
                     raise ParseError("exponent too large", text, i)
                 i = j
@@ -406,10 +414,11 @@ class Rationals(Field):
     def _parse_payload(self, s):
         if not self._RE.match(s):
             raise ParseError("expected [-]digits[/digits]", s, 0)
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            raise ParseError("zero denominator", s, s.index("/") + 1) from None
+        num, slash, den_text = s.partition("/")
+        den = _parse_int(den_text, s, len(num) + 1) if slash else 1
+        if den == 0:
+            raise ParseError("zero denominator", s, len(num) + 1)
+        return Fraction(_parse_int(num, s, 0), den)
 
     def _render(self, a):
         return str(a)
@@ -490,7 +499,7 @@ class PrimeField(Field):
     def _parse_payload(self, s):
         if not self._RE.match(s):
             raise ParseError("expected [-]digits", s, 0)
-        return int(s) % self.p
+        return _parse_int(s, s, 0) % self.p
 
     def _render(self, a):
         return str(a)
@@ -678,6 +687,10 @@ class RationalFunctionField2(Field):
     the only unit is 1.  This field has characteristic 2 but is not
     perfect: x has no square root, so ``sqrt`` is partial and the
     characteristic-2 solver can fail here, by design.
+
+    No gcd of full products is taken: ``_add`` cancels only against
+    gcd(d1, d2) (Knuth 4.5.1), and ``_mul``, hence ``_div`` and ``_pow``,
+    cross-cancels gcd(n1, d2) and gcd(n2, d1) first (Henrici).
     """
 
     characteristic = 2
@@ -702,20 +715,27 @@ class RationalFunctionField2(Field):
         if num == 0:
             return (0, 1)
         g = gf2x.gcd(num, den)
-        return (gf2x.divmod_(num, g)[0], gf2x.divmod_(den, g)[0])
+        return (_quo(num, g), _quo(den, g))
 
     def _from_int(self, n):
         return (n % 2, 1)
 
     def _add(self, a, b):
-        return self._reduce(
-            gf2x.mul(a[0], b[1]) ^ gf2x.mul(b[0], a[1]), gf2x.mul(a[1], b[1])
-        )
+        (n1, d1), (n2, d2) = a, b
+        g = gf2x.gcd(d1, d2)
+        if g == 1:
+            return (gf2x.mul(n1, d2) ^ gf2x.mul(n2, d1), gf2x.mul(d1, d2))
+        s = _quo(d1, g)
+        t = gf2x.mul(n1, _quo(d2, g)) ^ gf2x.mul(n2, s)
+        g = gf2x.gcd(t, g)
+        return (_quo(t, g), gf2x.mul(s, _quo(d2, g)))
 
     _sub = _add  # characteristic 2
 
     def _mul(self, a, b):
-        return self._reduce(gf2x.mul(a[0], b[0]), gf2x.mul(a[1], b[1]))
+        (n1, d1), (n2, d2) = a, b
+        g1, g2 = gf2x.gcd(n1, d2), gf2x.gcd(n2, d1)
+        return (gf2x.mul(_quo(n1, g1), _quo(n2, g2)), gf2x.mul(_quo(d1, g2), _quo(d2, g1)))
 
     def _neg(self, a):
         return a
@@ -783,6 +803,11 @@ class RationalFunctionField2(Field):
         return FieldElement(self, self._reduce(num, den))
 
 
+def _quo(a: int, g: int) -> int:
+    """Exact quotient of packed polynomials, for g dividing a."""
+    return a if g == 1 else gf2x.divmod_(a, g)[0]
+
+
 def _strip_parens(s: str) -> str:
     if len(s) >= 2 and s[0] == "(" and s[-1] == ")":
         depth = 0
@@ -811,19 +836,14 @@ _FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)(?:;modulus=(.+))?$")
 
 
 def _prime_power(n: int):
-    if n < 2:
-        return None
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            m = n
-            while m % d == 0:
-                m //= d
-                k += 1
-            return (d, k) if m == 1 else None
-        d += 1
-    return (n, 1)
+    """(p, k) with p prime and p**k == n, or None."""
+    for k in range(1, n.bit_length()):
+        p = 1 << -(-n.bit_length() // k)  # Newton's method from above to floor(n ** (1/k))
+        while (r := ((k - 1) * p + n // p ** (k - 1)) // k) < p:
+            p = r
+        if p**k == n and is_prime(p):
+            return (p, k)
+    return None
 
 
 def field_from_string(text: str) -> Field:
@@ -842,7 +862,9 @@ def field_from_string(text: str) -> Field:
     m = _FIELD_RE.match(s)
     if not m:
         raise ParseError(f"unrecognized field: {text!r}", text, 0)
-    base = int(m.group(1))
+    base = _parse_int(m.group(1), text, 0)
+    if base >= _PRIME_BOUND:  # above every supported prime and field order
+        raise ParseError("orders and characteristics from 2**64 up are not supported", text, 0)
     modulus = m.group(3)
     if m.group(2) is None:
         pk = _prime_power(base)
@@ -850,7 +872,7 @@ def field_from_string(text: str) -> Field:
             raise ParseError(f"{base} is not a prime power", text, 0)
         p, k = pk
     else:
-        p, k = base, int(m.group(2))
+        p, k = base, _parse_int(m.group(2), text, 0)
         if not is_prime(p):
             raise ParseError(f"{p} is not prime", text, 0)
         if k < 1:

@@ -3,6 +3,12 @@
 The polynomial b_n x^n + ... + b_1 x + b_0 is stored as the integer with
 bit i equal to b_i, so addition is xor and the zero polynomial is 0.
 All functions here take and return plain ints.
+
+``mul`` adds one shifted copy of the larger operand per set bit of the
+smaller.  ``gcd`` is the binary (Stein) algorithm, with no polynomial
+division: the power of x in a is its lowest set bit ``a & -a``, and the
+xor of two operands with constant term 1 has none, so each step strips
+at least one x off the larger operand.
 """
 
 
@@ -13,12 +19,13 @@ def degree(a):
 
 def mul(a, b):
     """Product of packed polynomials a and b."""
+    if a < b:
+        a, b = b, a
     c = 0
     while b:
-        if b & 1:
-            c ^= a
-        a <<= 1
-        b >>= 1
+        low = b & -b  # lowest set bit x^i; a * low is a shifted by i
+        c ^= a * low
+        b ^= low
     return c
 
 
@@ -27,36 +34,30 @@ def divmod_(a, b):
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
     q = 0
-    db = degree(b)
-    while a and degree(a) >= db:
-        shift = degree(a) - db
+    nb = b.bit_length()
+    na = a.bit_length()
+    while na >= nb:
+        shift = na - nb
         q ^= 1 << shift
         a ^= b << shift
+        na = a.bit_length()
     return q, a
 
 
-def mod(a, b):
-    """Remainder of a modulo b, for nonzero b."""
-    return divmod_(a, b)[1]
-
-
 def gcd(a, b):
-    """Greatest common divisor of packed polynomials a and b."""
-    while b:
-        a, b = b, mod(a, b)
-    return a
-
-
-def square(a):
-    """Square of a; spreads each exponent e to 2e."""
-    c = 0
-    i = 0
-    while a:
-        if a & 1:
-            c |= 1 << (2 * i)
-        a >>= 1
-        i += 1
-    return c
+    """Greatest common divisor of packed polynomials a and b (binary gcd)."""
+    if a <= 1 or b <= 1:  # gcd(a, 0) == a and gcd(a, 1) == 1
+        return 1 if a and b else a | b
+    common = min(a & -a, b & -b)  # the power of x dividing both
+    a //= a & -a
+    b //= b & -b
+    while True:
+        if a < b:
+            a, b = b, a
+        a ^= b
+        if not a:
+            return b * common
+        a //= a & -a
 
 
 def sqrt(a):

@@ -85,6 +85,16 @@ class TestDecompose:
         )
         assert code == 3
 
+    def test_overlong_rational_is_a_parse_error(self, capsys):
+        code, out, _ = run(
+            capsys, "decompose", "--field", "Q", "--coeffs", "1,1",
+            "--target", f"[[{'1' * 5000},0],[0,1]]", "--json",
+        )
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["error"] == "ParseError"
+        assert "too many digits (at position 0" in payload["message"]
+
     def test_json_error_payload(self, capsys):
         code, out, _ = run(
             capsys, "decompose", "--field", "Q", "--coeffs", "", "--target",

@@ -1,6 +1,8 @@
 """Field arithmetic, parsing, frobenius, and square roots."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +19,7 @@ from m2forms import (
     field_from_string,
     is_prime,
 )
+from m2forms.fields import _prime_power
 
 Q = Rationals()
 GF2 = PrimeField(2)
@@ -62,6 +65,17 @@ class TestRationals:
         for bad in ["", "1.5", "1/", "/2", "1/0", "a", "1/2/3"]:
             with pytest.raises(ParseError):
                 Q.parse(bad)
+
+    def test_parse_rejects_more_digits_than_python_converts(self):
+        # CPython refuses int() of more than 4300 digits by default
+        for text, pos in [("1" * 5000, 0), ("-" + "1" * 5000, 0), ("1/" + "2" * 5000, 2)]:
+            with pytest.raises(ParseError) as err:
+                Q.parse(text)
+            assert err.value.pos == pos
+        with pytest.raises(ParseError):
+            GF7.parse("1" * 5000)
+        with pytest.raises(ParseError):
+            F2X.parse("x^" + "1" * 5000)
 
     def test_sqrt(self):
         assert Q.parse("9/4").sqrt() == Q.parse("3/2")
@@ -266,6 +280,45 @@ class TestFieldFromString:
         for bad in ["", "GF(6)", "GF(12)", "GF(4^2)", "R", "GF(x)", "GF(5);modulus=t"]:
             with pytest.raises(ParseError):
                 field_from_string(bad)
+
+    def test_prime_power_matches_trial_division(self):
+        def trial_division(n):
+            for d in range(2, n + 1):
+                if n % d == 0:
+                    k = 0
+                    while n % d == 0:
+                        n //= d
+                        k += 1
+                    return (d, k) if n == 1 else None
+            return None
+
+        for n in range(3000):
+            assert _prime_power(n) == trial_division(n), n
+        for p, k in [(2, 63), (3, 40), (97, 8), (2**61 - 1, 1), (2**31 - 1, 2)]:
+            assert _prime_power(p**k) == (p, k)
+        assert _prime_power(2**61 - 2) is None
+
+    @pytest.mark.parametrize(
+        "descriptor, code",
+        [
+            ("GF(2305843009213693951)", 0),  # 2^61-1
+            ("GF(18446744073709551557)", 0),  # the largest prime below 2^64
+            ("GF(100000000000000000039)", 3),
+            ("GF(18446744073709551616)", 3),  # 2^64
+            ("GF(6)", 3),
+        ],
+    )
+    def test_large_orders_end_promptly(self, descriptor, code):
+        # a child process, so that a factoring hang fails this test
+        # instead of stalling the suite
+        result = subprocess.run(
+            [sys.executable, "-m", "m2forms", "decompose", "--field", descriptor,
+             "--coeffs", "1,1", "--target", "[[1,0],[0,1]]"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == code, result.stderr
+        if descriptor == "GF(6)":
+            assert "6 is not a prime power" in result.stderr
 
 
 class TestCrossField:

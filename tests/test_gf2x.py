@@ -1,0 +1,135 @@
+"""Property tests for the packed GF(2)[x] kernel and GF(2)(x) arithmetic.
+
+Each kernel routine is checked against a plain reference written here:
+schoolbook multiplication, Euclid's gcd, and, for the field, reducing the
+textbook sum and product by one gcd of the full numerator and denominator.
+"""
+
+import random
+
+import pytest
+
+from m2forms import FieldElement, RationalFunctionField2, gf2x
+
+F2X = RationalFunctionField2()
+
+
+def ref_mul(a, b):
+    c = 0
+    i = 0
+    while b >> i:
+        if (b >> i) & 1:
+            c ^= a << i
+        i += 1
+    return c
+
+
+def ref_gcd(a, b):
+    while b:
+        while a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
+    return a
+
+
+def ref_reduce(num, den):
+    if num == 0:
+        return (0, 1)
+    g = ref_gcd(num, den)
+    return (gf2x.divmod_(num, g)[0], gf2x.divmod_(den, g)[0])
+
+
+def poly(rng, degree):
+    """A random polynomial of exactly this degree (0 for degree -1)."""
+    if degree < 0:
+        return 0
+    return (1 << degree) | rng.getrandbits(degree)
+
+
+def fraction(rng, max_degree, factor=1):
+    """A reduced payload whose denominator is a multiple of ``factor``."""
+    num = poly(rng, rng.randrange(-1, max_degree + 1))
+    den = ref_mul(poly(rng, rng.randrange(0, max_degree + 1)), factor)
+    return ref_reduce(num, den)
+
+
+class TestKernel:
+    def test_mul_matches_schoolbook(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            a = poly(rng, rng.randrange(-1, 200))
+            b = poly(rng, rng.randrange(-1, 200))
+            assert gf2x.mul(a, b) == ref_mul(a, b) == gf2x.mul(b, a)
+
+    def test_gcd_matches_euclid_with_planted_factor(self):
+        rng = random.Random(12)
+        for _ in range(400):
+            common = poly(rng, rng.randrange(0, 100))
+            a = ref_mul(common, poly(rng, rng.randrange(0, 200)))
+            b = ref_mul(common, poly(rng, rng.randrange(0, 200)))
+            g = gf2x.gcd(a, b)
+            assert g == ref_gcd(a, b) == gf2x.gcd(b, a)
+            assert gf2x.divmod_(g, common)[1] == 0
+            assert gf2x.divmod_(a, g)[1] == 0 and gf2x.divmod_(b, g)[1] == 0
+
+    def test_gcd_edge_operands(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            a = poly(rng, rng.randrange(-1, 300))
+            i, j = rng.randrange(300), rng.randrange(300)
+            x_i, x_j = 1 << i, 1 << j
+            assert gf2x.gcd(a, 0) == gf2x.gcd(0, a) == a
+            assert gf2x.gcd(x_i, x_j) == 1 << min(i, j)
+            assert gf2x.gcd(a, x_j) == ref_gcd(a, x_j)
+            assert gf2x.gcd(a << i, a << j) == a << min(i, j)
+            assert gf2x.gcd(a, 1) == gf2x.gcd(1, a) == 1
+        assert gf2x.gcd(0, 0) == 0
+
+    def test_divmod_identity(self):
+        rng = random.Random(14)
+        for _ in range(500):
+            a = poly(rng, rng.randrange(-1, 300))
+            b = poly(rng, rng.randrange(0, 150))
+            q, r = gf2x.divmod_(a, b)
+            assert a == gf2x.mul(q, b) ^ r
+            assert gf2x.degree(r) < gf2x.degree(b)
+        with pytest.raises(ZeroDivisionError):
+            gf2x.divmod_(5, 0)
+
+
+class TestReducedArithmetic:
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_ops_match_reduced_textbook_formula(self, shared):
+        rng = random.Random(15 + shared)
+        for _ in range(400):
+            factor = poly(rng, rng.randrange(1, 6)) if shared else 1
+            a = fraction(rng, 30, factor)
+            b = fraction(rng, 30, factor)
+            (n1, d1), (n2, d2) = a, b
+            x, y = FieldElement(F2X, a), FieldElement(F2X, b)
+            naive = {
+                "add": (ref_mul(n1, d2) ^ ref_mul(n2, d1), ref_mul(d1, d2)),
+                "mul": (ref_mul(n1, n2), ref_mul(d1, d2)),
+                "cube": (ref_mul(n1, ref_mul(n1, n1)), ref_mul(d1, ref_mul(d1, d1))),
+            }
+            got = {"add": x + y, "mul": x * y, "cube": x**3}
+            if n2:
+                naive["div"] = (ref_mul(n1, d2), ref_mul(d1, n2))
+                got["div"] = x / y
+            for op, (num, den) in naive.items():
+                assert got[op].payload == F2X._reduce(num, den) == ref_reduce(num, den), op
+            assert (x - y) == (x + y)
+            assert (x + x).payload == (0, 1)
+
+    def test_sum_cancels_against_the_shared_denominator(self):
+        # 1/(x^2+x) + 1/x: the gcd of the denominators is x, and the new
+        # numerator x cancels it again, leaving 1/(x+1)
+        assert F2X.parse("1/(x^2+x)") + F2X.parse("1/x") == F2X.parse("1/(x+1)")
+        assert (F2X.parse("1/(x^2+x)") + F2X.parse("1/x")).payload == (1, 0b11)
+
+    def test_product_cross_cancels(self):
+        a = F2X.parse("(x^2+1)/x")
+        b = F2X.parse("x^3/(x+1)")
+        assert (a * b).payload == (0b1100, 1)  # (x+1)*x^2
+        assert (a * a.inv()).payload == (1, 1)
+        assert (a * F2X.zero()).payload == (0, 1)
