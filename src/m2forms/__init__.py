@@ -37,6 +37,8 @@ from .oracle import (
     all_matrices,
     build_square_set,
     check_universal_exhaustive,
+    first_solution,
+    first_unrepresentable,
     representable_two_term,
 )
 from .solver import (
@@ -87,6 +89,8 @@ __all__ = [
     "all_matrices",
     "build_square_set",
     "check_universal_exhaustive",
+    "first_solution",
+    "first_unrepresentable",
     "representable_two_term",
     "Decomposition",
     "decompose",

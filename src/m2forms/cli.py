@@ -34,13 +34,7 @@ from .errors import (
 )
 from .fields import Field, FieldElement, field_from_string
 from .matrices import DiagonalForm, Mat2
-from .oracle import (
-    SWEEP_MAX_ORDER,
-    all_matrices,
-    build_square_set,
-    check_universal_exhaustive,
-    representable_two_term,
-)
+from .oracle import check_term_count, first_solution, first_unrepresentable
 from .solver import decompose
 from .universality import UNIVERSAL, decide_universality, f2x_counterexample, lee_criterion
 
@@ -212,18 +206,13 @@ def _cmd_universal_z(args) -> int:
 def _cmd_oracle(args) -> int:
     field = field_from_string(args.field)
     coeffs = _parse_coeffs(field, args.coeffs)
-    if len(coeffs) > 2:
-        raise FieldTooLargeError("the oracle supports at most two coefficients")
+    check_term_count(coeffs)  # before the target: too many terms is exit 4 whatever it is
     base = {"field": str(field), "coeffs": [str(c) for c in coeffs]}
 
     if args.target is not None:
         target = Mat2.parse(field, args.target)
         base["target"] = str(target)
-        if len(coeffs) == 1:
-            square_set = build_square_set(field, coeffs[0])
-            found = (square_set.first_preimage[target],) if target in square_set else None
-        else:
-            found = representable_two_term(coeffs[0], coeffs[1], target, field)
+        found = first_solution(coeffs, target, field)
         if found is None:
             _emit(args, ["unrepresentable"], base | {"representable": False, "matrices": None})
             return EXIT_NEGATIVE
@@ -232,16 +221,8 @@ def _cmd_oracle(args) -> int:
         _emit(args, lines, base | {"representable": True, "matrices": [str(m) for m in found]})
         return EXIT_OK
 
-    if field.finite and field.order > SWEEP_MAX_ORDER:
-        raise FieldTooLargeError(
-            f"{field} has order {field.order}, above the sweep bound {SWEEP_MAX_ORDER}"
-        )
-    if len(coeffs) == 1:
-        square_set = build_square_set(field, coeffs[0])
-        counterexample = next((m for m in all_matrices(field) if m not in square_set), None)
-        universal = counterexample is None
-    else:
-        universal, counterexample = check_universal_exhaustive(coeffs[0], coeffs[1], field)
+    counterexample = first_unrepresentable(coeffs, field)
+    universal = counterexample is None
     total = field.order**4
     base |= {"targets": total, "universal": universal}
     if universal:

@@ -17,6 +17,10 @@ hashable, and support the usual operators plus ``frobenius``, ``sqrt``
 and ``is_square``.  The first three families are perfect; the rational
 function field is not, and its missing square roots are exactly what the
 characteristic-2 solver reports via NotASquareError.
+
+The finite families share ``elements``, ``random_element`` and ``sqrt``
+from ``Field``, written over the payload hooks; ``_payload_from_index``
+numbers the payloads 0..q-1 in canonical order.
 """
 
 from __future__ import annotations
@@ -75,30 +79,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _tonelli_shanks(a: int, p: int) -> int:
-    """Square root of the quadratic residue a modulo an odd prime p."""
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c = s, pow(z, q, p)
-    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 def _parse_int(digits: str, text: str, pos: int) -> int:
@@ -169,6 +149,12 @@ def _render_term(coeff: int, exp: int, var: str) -> str:
         return str(coeff)
     base = var if exp == 1 else f"{var}^{exp}"
     return base if coeff == 1 else f"{coeff}*{base}"
+
+
+def _render_poly(coeffs, var: str) -> str:
+    """Ascending coefficients as a sum of terms, highest degree first."""
+    terms = [_render_term(c, e, var) for e, c in reversed(list(enumerate(coeffs))) if c]
+    return "+".join(terms) or "0"
 
 
 class FieldElement:
@@ -334,7 +320,13 @@ class Field:
 
     def elements(self):
         """Iterate all elements in canonical order (finite fields only)."""
-        raise InfiniteFieldError(f"{self} is infinite")
+        if not self.finite:
+            raise InfiniteFieldError(f"{self} is infinite")
+        return (FieldElement(self, self._payload_from_index(i)) for i in range(self.order))
+
+    def random_element(self, rng) -> FieldElement:
+        """A uniformly random element of a finite field."""
+        return FieldElement(self, self._payload_from_index(rng.randrange(self.order)))
 
     # payload-level hooks implemented by subclasses
     def _from_other(self, value):
@@ -352,6 +344,48 @@ class Field:
             base = self._mul(base, base)
             e >>= 1
         return result
+
+    def _sqrt(self, a):
+        """Square root in a finite field; the infinite families override it.
+
+        In characteristic 2, squaring is an automorphism of order k on
+        GF(2^k), so k - 1 more squarings invert it.  Otherwise this is
+        Tonelli-Shanks, and the smaller payload of the pair +/-r is
+        returned.
+        """
+        q = self.order
+        if self.characteristic == 2:
+            for _ in range(q.bit_length() - 2):
+                a = self._mul(a, a)
+            return a
+        if self._is_zero(a):
+            return a
+        one = self._from_int(1)
+        m, s = q - 1, 0
+        while m % 2 == 0:
+            m, s = m // 2, s + 1
+        # Euler's criterion: a**((q-1)/2) == t**(2**(s-1)) must be 1
+        t = euler = self._pow(a, m)
+        for _ in range(s - 1):
+            euler = self._mul(euler, euler)
+        if euler != one:
+            raise NotASquareError(FieldElement(self, a))
+        r = self._pow(a, (m + 1) // 2)
+        if t != one:
+            # a non-residue, from the top index down: the low indices are
+            # GF(p), all squares when the extension degree is even
+            candidates = map(self._payload_from_index, range(q - 1, 1, -1))
+            z = next(c for c in candidates if self._pow(c, (q - 1) // 2) != one)
+            c = self._pow(z, m)
+            while t != one:
+                i, t2 = 0, t
+                while t2 != one:
+                    t2 = self._mul(t2, t2)
+                    i += 1
+                b = self._pow(c, 1 << (s - i - 1))
+                s, c = i, self._mul(b, b)
+                t, r = self._mul(t, c), self._mul(r, b)
+        return min(r, self._neg(r))
 
 
 class Rationals(Field):
@@ -487,15 +521,6 @@ class PrimeField(Field):
     def _is_zero(self, a):
         return a == 0
 
-    def _sqrt(self, a):
-        p = self.p
-        if p == 2 or a == 0:
-            return a
-        if pow(a, (p - 1) // 2, p) != 1:
-            raise NotASquareError(FieldElement(self, a))
-        r = _tonelli_shanks(a, p)
-        return min(r, p - r)
-
     def _parse_payload(self, s):
         if not self._RE.match(s):
             raise ParseError("expected [-]digits", s, 0)
@@ -504,12 +529,8 @@ class PrimeField(Field):
     def _render(self, a):
         return str(a)
 
-    def elements(self):
-        for a in range(self.p):
-            yield FieldElement(self, a)
-
-    def random_element(self, rng) -> FieldElement:
-        return FieldElement(self, rng.randrange(self.p))
+    def _payload_from_index(self, idx: int):
+        return idx
 
 
 class ExtensionField(Field):
@@ -545,11 +566,7 @@ class ExtensionField(Field):
                     f"no default modulus for GF({p}^{k}); pass one explicitly"
                 ) from None
         if isinstance(modulus, str):
-            coeffs = _parse_poly_text("".join(modulus.split()), "t")
-            dense = [0] * (max(coeffs) + 1)
-            for e, c in coeffs.items():
-                dense[e] = c
-            modulus = polys.normalize(dense, p)
+            modulus = _parse_dense("".join(modulus.split()), p)
         else:
             modulus = polys.normalize(tuple(modulus), p)
         if polys.degree(modulus) != k:
@@ -557,7 +574,7 @@ class ExtensionField(Field):
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
         if not polys.is_irreducible(modulus, p):
-            raise ValueError(f"modulus {_render_modulus(modulus)} is reducible over GF({p})")
+            raise ValueError(f"modulus {self._render(modulus)} is reducible over GF({p})")
         self.modulus = modulus
 
     def __eq__(self, other):
@@ -575,7 +592,7 @@ class ExtensionField(Field):
         return f"GF({self.p}^{self.k})"
 
     def __str__(self):
-        return f"GF({self.p}^{self.k});modulus={_render_modulus(self.modulus)}"
+        return f"GF({self.p}^{self.k});modulus={self._render(self.modulus)}"
 
     def _from_int(self, n):
         return polys.normalize((n,), self.p)
@@ -603,43 +620,6 @@ class ExtensionField(Field):
     def _is_zero(self, a):
         return a == ()
 
-    def _sqrt(self, a):
-        p = self.p
-        if p == 2:
-            # invert the squaring automorphism: square k-1 more times
-            out = a
-            for _ in range(self.k - 1):
-                out = self._mul(out, out)
-            return out
-        if not a:
-            return a
-        q = self.order
-        if self._pow(a, (q - 1) // 2) != (1,):
-            raise NotASquareError(FieldElement(self, a))
-        # Tonelli-Shanks in the multiplicative group of GF(q)
-        m2 = q - 1
-        s = 0
-        while m2 % 2 == 0:
-            m2 //= 2
-            s += 1
-        z = None
-        for idx in range(2, q):
-            cand = self._payload_from_index(idx)
-            if self._pow(cand, (q - 1) // 2) != (1,):
-                z = cand
-                break
-        m, c = s, self._pow(z, m2)
-        t, r = self._pow(a, m2), self._pow(a, (m2 + 1) // 2)
-        while t != (1,):
-            i, t2 = 0, t
-            while t2 != (1,):
-                t2 = self._mul(t2, t2)
-                i += 1
-            b = self._pow(c, 1 << (m - i - 1))
-            m, c = i, self._mul(b, b)
-            t, r = self._mul(t, c), self._mul(r, b)
-        return min(r, self._neg(r))
-
     def _payload_from_index(self, idx: int):
         digits = []
         while idx:
@@ -648,35 +628,19 @@ class ExtensionField(Field):
         return tuple(digits)
 
     def _parse_payload(self, s):
-        coeffs = _parse_poly_text(s, "t")
-        dense = [0] * (max(coeffs) + 1)
-        for e, c in coeffs.items():
-            dense[e] = c
-        return polys.mod(polys.normalize(dense, self.p), self.modulus, self.p)
+        return polys.mod(_parse_dense(s, self.p), self.modulus, self.p)
 
     def _render(self, a):
-        if not a:
-            return "0"
-        terms = []
-        for e in range(len(a) - 1, -1, -1):
-            if a[e]:
-                terms.append(_render_term(a[e], e, "t"))
-        return "+".join(terms)
-
-    def elements(self):
-        for idx in range(self.order):
-            yield FieldElement(self, self._payload_from_index(idx))
-
-    def random_element(self, rng) -> FieldElement:
-        return FieldElement(self, self._payload_from_index(rng.randrange(self.order)))
+        return _render_poly(a, "t")
 
 
-def _render_modulus(modulus) -> str:
-    terms = []
-    for e in range(len(modulus) - 1, -1, -1):
-        if modulus[e]:
-            terms.append(_render_term(modulus[e], e, "t"))
-    return "+".join(terms)
+def _parse_dense(s: str, p: int) -> tuple:
+    """Parse whitespace-free text in t as a normalized polynomial over GF(p)."""
+    coeffs = _parse_poly_text(s, "t")
+    dense = [0] * (max(coeffs) + 1)
+    for e, c in coeffs.items():
+        dense[e] = c
+    return polys.normalize(dense, p)
 
 
 class RationalFunctionField2(Field):
@@ -823,13 +787,7 @@ def _strip_parens(s: str) -> str:
 
 
 def _render_bits(bits: int) -> str:
-    if bits == 0:
-        return "0"
-    terms = []
-    for e in range(gf2x.degree(bits), -1, -1):
-        if (bits >> e) & 1:
-            terms.append(_render_term(1, e, "x"))
-    return "+".join(terms)
+    return _render_poly([(bits >> e) & 1 for e in range(bits.bit_length())], "x")
 
 
 _FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)(?:;modulus=(.+))?$")

@@ -44,6 +44,12 @@ class Mat2:
         z, o = field.zero(), field.one()
         return cls(o, z, z, o)
 
+    @classmethod
+    def nilpotent(cls, field: Field) -> Mat2:
+        """The matrix [[0,1],[0,0]]: unrepresentable by any single-term form."""
+        z, o = field.zero(), field.one()
+        return cls(z, o, z, z)
+
     @property
     def field(self) -> Field:
         return self.e11.field

@@ -6,6 +6,9 @@ term's image set and look up the residual, so a full sweep costs
 O(q**4) instead of O(q**8).  Enumeration is lexicographic in the entry
 order (e11, e12, e21, e22) over each field's canonical element order,
 which makes witnesses and first counterexamples deterministic.
+
+``first_solution`` and ``first_unrepresentable`` answer every one- and
+two-term query (CLI, single-term explanation) and own their bounds.
 """
 
 from __future__ import annotations
@@ -21,13 +24,19 @@ MAX_ORDER = 16  # bound for building square sets
 SWEEP_MAX_ORDER = 5  # bound for all-targets sweeps
 
 
-def _check_finite(field: Field, bound: int):
+def _check_finite(field: Field, bound: int, name: str = "bound"):
     if not field.finite:
         raise InfiniteFieldError(f"cannot enumerate matrices over {field}")
     if field.order > bound:
         raise FieldTooLargeError(
-            f"{field} has order {field.order}, above the bound {bound}"
+            f"{field} has order {field.order}, above the {name} {bound}"
         )
+
+
+def check_term_count(coeffs) -> None:
+    """Refuse forms of more than two terms, which the oracle cannot enumerate."""
+    if len(coeffs) > 2:
+        raise FieldTooLargeError("the oracle supports at most two coefficients")
 
 
 def all_matrices(field: Field):
@@ -99,3 +108,28 @@ def check_universal_exhaustive(a1, a2, field: Field) -> tuple[bool, Mat2 | None]
         if not any(target - v in set2.members for v in values1):
             return False, target
     return True, None
+
+
+def first_solution(coeffs, target: Mat2, field: Field) -> tuple[Mat2, ...] | None:
+    """First (X1,) or (X1, X2) with sum(ai * Xi**2) == target, else None.
+
+    Takes one or two coefficients over a field of order <= 16.
+    """
+    check_term_count(coeffs)
+    if len(coeffs) == 1:
+        square_set = build_square_set(field, coeffs[0])
+        return (square_set.first_preimage[target],) if target in square_set else None
+    return representable_two_term(coeffs[0], coeffs[1], target, field)
+
+
+def first_unrepresentable(coeffs, field: Field) -> Mat2 | None:
+    """First target that sum(ai * Xi**2) misses, or None when it hits all q**4.
+
+    Takes one or two coefficients over a field of order <= 5.
+    """
+    check_term_count(coeffs)
+    _check_finite(field, SWEEP_MAX_ORDER, "sweep bound")
+    if len(coeffs) == 1:
+        square_set = build_square_set(field, coeffs[0])
+        return next((m for m in all_matrices(field) if m not in square_set), None)
+    return check_universal_exhaustive(coeffs[0], coeffs[1], field)[1]

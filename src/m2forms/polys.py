@@ -124,25 +124,15 @@ def pow_mod(a, e, m, p):
     return result
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f, p):
     """Rabin irreducibility test for a monic f of degree >= 1 over GF(p).
 
     f is irreducible iff x**(p**k) == x mod f and, for every prime d
-    dividing k, gcd(x**(p**(k/d)) - x, f) is constant.
+    dividing k, gcd(x**(p**(k/d)) - x, f) is constant.  The loop takes
+    every divisor d > 1 of k instead of factoring k; the composite ones
+    do not change the verdict, because for a prime d' dividing d, k/d
+    divides k/d', so x**(p**(k/d)) - x divides x**(p**(k/d')) - x and
+    its gcd with f divides the gcd for d'.
     """
     k = degree(f)
     if k < 1:
@@ -153,8 +143,7 @@ def is_irreducible(f, p):
         frob.append(pow_mod(frob[-1], p, f, p))
     if frob[k] != mod(x, f, p):
         return False
-    for d in _prime_factors(k):
-        g = gcd(sub(frob[k // d], x, p), f, p)
-        if degree(g) > 0:
+    for d in range(2, k + 1):
+        if k % d == 0 and degree(gcd(sub(frob[k // d], x, p), f, p)) > 0:
             return False
     return True

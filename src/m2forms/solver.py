@@ -145,10 +145,9 @@ def decompose(form: DiagonalForm, target: Mat2) -> Decomposition:
         )
     nonzero = form.nonzero_indices()
     if len(nonzero) < 2:
-        witness = Mat2(field.zero(), field.one(), field.zero(), field.zero())
         raise NotUniversalFormError(
             "forms with fewer than two nonzero coefficients are never universal",
-            witness=witness,
+            witness=Mat2.nilpotent(field),
         )
     i, j = nonzero[0], nonzero[1]
     a1, a2 = form.coeffs[i], form.coeffs[j]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import FieldMismatchError
-from .fields import Field, FieldElement, RationalFunctionField2
+from .fields import FieldElement, RationalFunctionField2
 from .matrices import DiagonalForm, Mat2
 from . import oracle
 
@@ -49,10 +49,7 @@ class UniversalityVerdict:
             raise ValueError("a not-universal verdict needs a witness")
 
 
-def nilpotent_witness(field: Field) -> Mat2:
-    """The matrix [[0,1],[0,0]]: unrepresentable by any single-term form."""
-    z, o = field.zero(), field.one()
-    return Mat2(z, o, z, z)
+nilpotent_witness = Mat2.nilpotent
 
 
 def decide_universality(form: DiagonalForm) -> UniversalityVerdict:
@@ -108,37 +105,25 @@ def single_term_witness(a: FieldElement) -> tuple[Mat2, SingleTermExplanation]:
     """A matrix the form a*X**2 cannot represent, with the reasoning."""
     field = a.field
     witness = nilpotent_witness(field)
+    confirmed = None
+    if field.finite and field.order <= _ORACLE_CONFIRM_MAX_ORDER:
+        confirmed = oracle.first_solution([a], witness, field) is None
     if a.is_zero():
-        explanation = SingleTermExplanation(
-            equations=("0*X^2 = 0 for every X",),
-            conclusion="the zero form represents only the zero matrix",
-            oracle_confirmed=_oracle_confirm(field, a, witness),
+        equations = ("0*X^2 = 0 for every X",)
+        conclusion = "the zero form represents only the zero matrix"
+    else:
+        equations = (
+            f"({a})*(x^2+y*z) = 0",
+            f"({a})*y*(x+w) = 1",
+            f"({a})*z*(x+w) = 0",
+            f"({a})*(y*z+w^2) = 0",
         )
-        return witness, explanation
-    equations = (
-        f"({a})*(x^2+y*z) = 0",
-        f"({a})*y*(x+w) = 1",
-        f"({a})*z*(x+w) = 0",
-        f"({a})*(y*z+w^2) = 0",
-    )
-    conclusion = (
-        "the second equation forces y*(x+w) invertible, so x+w != 0; "
-        "then the third gives z = 0, the first and fourth give x = 0 and "
-        "w = 0, and the second reads 0 = 1"
-    )
-    explanation = SingleTermExplanation(
-        equations=equations,
-        conclusion=conclusion,
-        oracle_confirmed=_oracle_confirm(field, a, witness),
-    )
-    return witness, explanation
-
-
-def _oracle_confirm(field: Field, a: FieldElement, witness: Mat2) -> Optional[bool]:
-    if not field.finite or field.order > _ORACLE_CONFIRM_MAX_ORDER:
-        return None
-    square_set = oracle.build_square_set(field, a)
-    return witness not in square_set.members
+        conclusion = (
+            "the second equation forces y*(x+w) invertible, so x+w != 0; "
+            "then the third gives z = 0, the first and fourth give x = 0 and "
+            "w = 0, and the second reads 0 = 1"
+        )
+    return witness, SingleTermExplanation(equations, conclusion, confirmed)
 
 
 def f2x_necessary_condition(target: Mat2) -> bool:

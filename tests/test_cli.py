@@ -240,6 +240,65 @@ class TestOracle:
         assert code == 4
 
 
+SWEEP_BOUND = "GF(7) has order 7, above the sweep bound 5"
+TOO_MANY = "the oracle supports at most two coefficients"
+
+
+class TestOracleExactOutput:
+    """Full stdout, stderr and exit code of single-term queries and oracle errors."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (
+                ["--field", "GF(2)", "--coeffs", "1"], 2,
+                "not universal; first unrepresentable target: [[0,0],[1,0]]\n", "",
+            ),
+            (
+                ["--field", "GF(2)", "--coeffs", "1", "--json"], 2,
+                '{"field": "GF(2)", "coeffs": ["1"], "targets": 16, "universal": false, '
+                '"counterexample": "[[0,0],[1,0]]"}\n', "",
+            ),
+            (
+                ["--field", "GF(3)", "--coeffs", "1", "--target", "[[1,0],[0,1]]"], 0,
+                "X1 = [[0,1],[1,0]]\nrepresentable\n", "",
+            ),
+            (
+                ["--field", "GF(3)", "--coeffs", "1", "--target", "[[1,0],[0,1]]", "--json"], 0,
+                '{"field": "GF(3)", "coeffs": ["1"], "target": "[[1,0],[0,1]]", '
+                '"representable": true, "matrices": ["[[0,1],[1,0]]"]}\n', "",
+            ),
+            (["--field", "GF(7)", "--coeffs", "1,1"], 4, "", f"error: {SWEEP_BOUND}\n"),
+            (["--field", "GF(7)", "--coeffs", "1"], 4, "", f"error: {SWEEP_BOUND}\n"),
+            (
+                ["--field", "GF(7)", "--coeffs", "1,1", "--json"], 4,
+                f'{{"error": "FieldTooLarge", "message": "{SWEEP_BOUND}"}}\n', "",
+            ),
+            (["--field", "Q", "--coeffs", "1,1"], 4, "", "error: cannot enumerate matrices over Q\n"),
+            (
+                ["--field", "Q", "--coeffs", "1", "--json"], 4,
+                '{"error": "InfiniteField", "message": "cannot enumerate matrices over Q"}\n', "",
+            ),
+            (
+                ["--field", "F2(X)", "--coeffs", "1"], 4,
+                "", "error: cannot enumerate matrices over F2(X)\n",
+            ),
+            (["--field", "GF(2)", "--coeffs", "1,1,1"], 4, "", f"error: {TOO_MANY}\n"),
+            # the term count is checked before the target is parsed
+            (
+                ["--field", "GF(2)", "--coeffs", "1,1,1", "--target", "[[junk"], 4,
+                "", f"error: {TOO_MANY}\n",
+            ),
+            (
+                ["--field", "GF(2)", "--coeffs", "1,1,1", "--target", "[[junk", "--json"], 4,
+                f'{{"error": "FieldTooLarge", "message": "{TOO_MANY}"}}\n', "",
+            ),
+        ],
+    )
+    def test_output(self, capsys, argv, code, out, err):
+        assert run(capsys, "oracle", *argv) == (code, out, err)
+
+
 class TestCounterexample:
     def test_narrative(self, capsys):
         code, out, _ = run(capsys, "counterexample")

@@ -214,6 +214,52 @@ class TestExtensionField:
         assert len(list(GF9.elements())) == 9
 
 
+class TestCanonicalSqrt:
+    """Odd-characteristic roots come in pairs +/-r; sqrt returns the one
+    with the smaller payload, and refuses exactly the non-squares."""
+
+    FIELDS = [
+        PrimeField(17),
+        PrimeField(97),
+        PrimeField(2**61 - 1),  # p = 3 mod 4
+        PrimeField(18446744073709551557),  # p = 5 mod 8
+        GF9,
+        ExtensionField(3, 3),
+        ExtensionField(5, 2),
+        ExtensionField(97, 2, "t^2+t+5"),  # even degree: GF(97) is all squares
+    ]
+
+    @staticmethod
+    def assert_canonical_root(a):
+        r = a.sqrt()
+        assert r * r == a
+        assert r.payload == min(r.payload, (-r).payload)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_canonical_root(self, field):
+        q = field.order
+        if q <= 100:
+            squares = {a * a for a in field.elements()}
+            assert len(squares) == (q + 1) // 2
+            for a in field.elements():
+                if a in squares:
+                    self.assert_canonical_root(a)
+                else:
+                    with pytest.raises(NotASquareError):
+                        a.sqrt()
+            return
+        rng = random.Random(q)
+        non_squares = 0
+        for _ in range(40):
+            a = rand(field, rng)
+            self.assert_canonical_root(a * a)
+            if a ** ((q - 1) // 2) == -field.one():  # Euler's criterion
+                non_squares += 1
+                with pytest.raises(NotASquareError):
+                    a.sqrt()
+        assert non_squares > 0
+
+
 class TestRationalFunctionField:
     def test_add_reduces(self):
         a = F2X.parse("(x)/(x+1)")
