@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -91,15 +92,14 @@ def _parse_coeffs(field: Field, text: str) -> list[FieldElement]:
 
 
 def _parse_int_coeffs(text: str) -> list[int]:
-    parts = text.split(",")
-    coeffs = []
-    for part in parts:
-        part = part.strip()
-        try:
-            coeffs.append(int(part))
-        except ValueError:
-            raise ParseError("expected an integer coefficient", text, 0) from None
-    return coeffs
+    parts = [part.strip() for part in text.split(",")]
+    try:
+        # ASCII digits only: int() also takes '_' separators and other scripts' digits
+        if all(re.fullmatch("[+-]?[0-9]+", part) for part in parts):
+            return [int(part) for part in parts]
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError("expected an integer coefficient", text, 0)
 
 
 def _emit(args, lines: list[str], payload: dict) -> None:

@@ -21,12 +21,17 @@ characteristic-2 solver reports via NotASquareError.
 The finite families share ``elements``, ``random_element`` and ``sqrt``
 from ``Field``, written over the payload hooks; ``_payload_from_index``
 numbers the payloads 0..q-1 in canonical order.
+
+Descriptors are interned by class and normalized key, so every spelling
+of a field is one object and field equality is identity.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import threading
+import weakref
 from fractions import Fraction
 
 from . import gf2x, polys
@@ -44,6 +49,10 @@ _MAX_EXPONENT = 4096  # guardrail for parsed polynomial exponents
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _PRIME_BOUND = 2**64
+
+# (class, key) -> descriptor, while it or one of its elements is alive
+_FIELDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_FIELDS_LOCK = threading.Lock()
 
 # ascending coefficient tuples; reproducible defaults for small extensions
 _DEFAULT_MODULI = {
@@ -93,8 +102,8 @@ def _parse_poly_text(text: str, var: str) -> dict[int, int]:
     """Parse ``text`` as a sum of terms in ``var``.
 
     Terms look like ``5``, ``t``, ``t^3``, ``2*t`` and are joined by '+'
-    or '-'.  Returns accumulated signed coefficients by exponent; callers
-    reduce them into their own field.
+    or '-'; digits are ASCII 0-9 only.  Returns accumulated signed
+    coefficients by exponent; callers reduce them into their own field.
     """
     s = text
     n = len(s)
@@ -112,7 +121,7 @@ def _parse_poly_text(text: str, var: str) -> dict[int, int]:
             raise ParseError("expected '+' or '-'", text, i)
         first = False
         j = i
-        while j < n and s[j].isdigit():
+        while j < n and "0" <= s[j] <= "9":
             j += 1
         coeff = _parse_int(s[i:j], text, i) if j > i else None
         i = j
@@ -126,7 +135,7 @@ def _parse_poly_text(text: str, var: str) -> dict[int, int]:
             if i < n and s[i] == "^":
                 i += 1
                 j = i
-                while j < n and s[j].isdigit():
+                while j < n and "0" <= s[j] <= "9":
                     j += 1
                 if j == i:
                     raise ParseError("expected exponent digits", text, i)
@@ -289,6 +298,28 @@ class Field:
     perfect: bool = True
     order: int | None = None  # None when infinite
 
+    def __new__(cls, *args, **kwargs):
+        """Look up the interned descriptor; build and validate it only on a miss."""
+        key = cls._key(*args, **kwargs)
+        with _FIELDS_LOCK:
+            field = _FIELDS.get((cls, key))
+            if field is None:
+                field = super().__new__(cls)
+                field._build(*key)
+                field._args = key
+                _FIELDS[cls, key] = field
+        return field
+
+    def __reduce__(self):
+        return (type(self), self._args)
+
+    @staticmethod
+    def _key():
+        return ()
+
+    def _build(self):
+        pass
+
     @property
     def finite(self) -> bool:
         return self.order is not None
@@ -391,17 +422,7 @@ class Field:
 class Rationals(Field):
     """The field of rational numbers with reduced-fraction payloads."""
 
-    characteristic = 0
-    perfect = True
-    order = None
-
-    _RE = re.compile(r"^-?\d+(?:/\d+)?$")
-
-    def __eq__(self, other):
-        return type(other) is Rationals
-
-    def __hash__(self):
-        return hash("m2forms.Rationals")
+    _RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
     def __repr__(self):
         return "Q"
@@ -471,24 +492,18 @@ def _isqrt_exact(n: int) -> int | None:
 class PrimeField(Field):
     """GF(p) for prime p, with least nonnegative residue payloads."""
 
-    perfect = True
+    _RE = re.compile(r"^-?[0-9]+$")
 
-    _RE = re.compile(r"^-?\d+$")
+    @staticmethod
+    def _key(p: int):
+        return (p,)
 
-    def __init__(self, p: int):
+    def _build(self, p):
         if p >= _PRIME_BOUND:
             raise ValueError(f"prime fields above 2**64 are not supported: {p}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.characteristic = p
-        self.order = p
-
-    def __eq__(self, other):
-        return type(other) is PrimeField and other.p == self.p
-
-    def __hash__(self):
-        return hash(("m2forms.PrimeField", self.p))
+        self.p = self.characteristic = self.order = p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -543,9 +558,8 @@ class ExtensionField(Field):
     at most 8 over p at most 97.
     """
 
-    perfect = True
-
-    def __init__(self, p: int, k: int, modulus=None):
+    @staticmethod
+    def _key(p: int, k: int, modulus=None):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 2:
@@ -554,10 +568,6 @@ class ExtensionField(Field):
             raise ValueError(
                 "irreducibility checking supports degree <= 8 over p <= 97 only"
             )
-        self.p = p
-        self.k = k
-        self.characteristic = p
-        self.order = p**k
         if modulus is None:
             try:
                 modulus = _DEFAULT_MODULI[(p, k)]
@@ -569,24 +579,20 @@ class ExtensionField(Field):
             modulus = _parse_dense("".join(modulus.split()), p)
         else:
             modulus = polys.normalize(tuple(modulus), p)
+        return (p, k, modulus)
+
+    def _build(self, p, k, modulus):
         if polys.degree(modulus) != k:
             raise ValueError(f"modulus must have degree {k}")
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
         if not polys.is_irreducible(modulus, p):
             raise ValueError(f"modulus {self._render(modulus)} is reducible over GF({p})")
+        self.p = p
+        self.k = k
+        self.characteristic = p
+        self.order = p**k
         self.modulus = modulus
-
-    def __eq__(self, other):
-        return (
-            type(other) is ExtensionField
-            and other.p == self.p
-            and other.k == self.k
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("m2forms.ExtensionField", self.p, self.k, self.modulus))
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
@@ -659,13 +665,6 @@ class RationalFunctionField2(Field):
 
     characteristic = 2
     perfect = False
-    order = None
-
-    def __eq__(self, other):
-        return type(other) is RationalFunctionField2
-
-    def __hash__(self):
-        return hash("m2forms.RationalFunctionField2")
 
     def __repr__(self):
         return "F2(X)"
@@ -790,7 +789,7 @@ def _render_bits(bits: int) -> str:
     return _render_poly([(bits >> e) & 1 for e in range(bits.bit_length())], "x")
 
 
-_FIELD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)(?:;modulus=(.+))?$")
+_FIELD_RE = re.compile(r"^GF\(([0-9]+)(?:\^([0-9]+))?\)(?:;modulus=(.+))?$")
 
 
 def _prime_power(n: int):

@@ -5,10 +5,7 @@ bit i equal to b_i, so addition is xor and the zero polynomial is 0.
 All functions here take and return plain ints.
 
 ``mul`` adds one shifted copy of the larger operand per set bit of the
-smaller.  ``gcd`` is the binary (Stein) algorithm, with no polynomial
-division: the power of x in a is its lowest set bit ``a & -a``, and the
-xor of two operands with constant term 1 has none, so each step strips
-at least one x off the larger operand.
+smaller.  ``gcd`` is Euclid's algorithm with the remainder taken inline.
 """
 
 
@@ -45,19 +42,15 @@ def divmod_(a, b):
 
 
 def gcd(a, b):
-    """Greatest common divisor of packed polynomials a and b (binary gcd)."""
-    if a <= 1 or b <= 1:  # gcd(a, 0) == a and gcd(a, 1) == 1
-        return 1 if a and b else a | b
-    common = min(a & -a, b & -b)  # the power of x dividing both
-    a //= a & -a
-    b //= b & -b
-    while True:
-        if a < b:
-            a, b = b, a
-        a ^= b
-        if not a:
-            return b * common
-        a //= a & -a
+    """Greatest common divisor of packed polynomials a and b (Euclid)."""
+    if a == 1 or b == 1:
+        return 1
+    while b:
+        nb = b.bit_length()
+        while (na := a.bit_length()) >= nb:  # a %= b
+            a ^= b << (na - nb)
+        a, b = b, a
+    return a
 
 
 def sqrt(a):

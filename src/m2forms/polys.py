@@ -75,20 +75,6 @@ def mod(a, b, p):
     return divmod_(a, b, p)[1]
 
 
-def monic(a, p):
-    """Scale a so its leading coefficient is 1."""
-    if not a:
-        return a
-    return scale(a, pow(a[-1], -1, p), p)
-
-
-def gcd(a, b, p):
-    """Monic greatest common divisor of a and b."""
-    while b:
-        a, b = b, mod(a, b, p)
-    return monic(a, p)
-
-
 def ext_gcd(a, b, p):
     """Monic g and s, t with s*a + t*b = g = gcd(a, b)."""
     s0, s1 = (1,), ()
@@ -144,6 +130,6 @@ def is_irreducible(f, p):
     if frob[k] != mod(x, f, p):
         return False
     for d in range(2, k + 1):
-        if k % d == 0 and degree(gcd(sub(frob[k // d], x, p), f, p)) > 0:
+        if k % d == 0 and degree(ext_gcd(sub(frob[k // d], x, p), f, p)[0]) > 0:
             return False
     return True

@@ -183,6 +183,43 @@ class TestUniversalZ:
         assert code == 3
 
 
+class TestAsciiDigits:
+    """Only ASCII 0-9 are digits: '_' separators, superscripts and other
+    scripts' digits are malformed input (exit 3), never a number."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["universal-z", "--coeffs", "1_0,2,3"], "expected an integer coefficient"),
+            (["universal-z", "--coeffs", "\u0661,2"], "expected an integer coefficient"),
+            (["universal", "--field", "Q", "--coeffs", "1_0"], "expected [-]digits[/digits]"),
+            (["universal", "--field", "GF(7)", "--coeffs", "\u0661,2"], "expected [-]digits"),
+            (["universal", "--field", "GF(\u0667)", "--coeffs", "1,1"], "unrecognized field"),
+            (["decompose", "--field", "GF(9)", "--coeffs", "1,\u00b2",
+              "--target", "[[1,0],[0,1]]"], "expected a term"),
+            (["decompose", "--field", "F2(X)", "--coeffs", "1,x^\u00b2",
+              "--target", "[[1,0],[0,1]]"], "expected exponent digits"),
+        ],
+    )
+    def test_non_ascii_digits_are_parse_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {message}") and "(at position " in err
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 3
+        assert json.loads(out)["error"] == "ParseError"
+
+    def test_signed_and_padded_integers_still_accepted(self, capsys):
+        assert run(capsys, "universal-z", "--coeffs", " +1 , 1,1 ")[:2] == (0, "Universal\n")
+        assert run(capsys, "universal-z", "--coeffs=-1,-2")[:2] == (2, "NotUniversal\n")
+
+    def test_overlong_integer_keeps_its_message(self, capsys):
+        code, _, err = run(capsys, "universal-z", "--coeffs", "9" * 5000 + ",1")
+        assert code == 3
+        assert err.startswith("error: expected an integer coefficient")
+
+
 class TestOracle:
     def test_full_sweep_gf2(self, capsys):
         code, out, _ = run(capsys, "oracle", "--field", "GF(2)", "--coeffs", "1,1")

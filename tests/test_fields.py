@@ -1,8 +1,14 @@
 """Field arithmetic, parsing, frobenius, and square roots."""
 
+import copy
+import gc
+import os
+import pickle
 import random
 import subprocess
 import sys
+import threading
+import weakref
 
 import pytest
 
@@ -11,6 +17,7 @@ from m2forms import (
     ExtensionField,
     FieldMismatchError,
     InfiniteFieldError,
+    Mat2,
     NotASquareError,
     ParseError,
     PrimeField,
@@ -19,7 +26,7 @@ from m2forms import (
     field_from_string,
     is_prime,
 )
-from m2forms.fields import _prime_power
+from m2forms.fields import _FIELDS, _prime_power
 
 Q = Rationals()
 GF2 = PrimeField(2)
@@ -379,6 +386,140 @@ class TestCrossField:
         assert other != GF9
         with pytest.raises(FieldMismatchError):
             GF9.parse("t") + other.parse("t")
+
+
+class TestInterning:
+    """Every spelling of one field is one object, so equality is identity."""
+
+    def test_spellings_of_gf8_are_one_object(self):
+        spellings = [
+            ExtensionField(2, 3),
+            ExtensionField(2, 3, (1, 1, 0, 1)),
+            ExtensionField(p=2, k=3, modulus=[3, 1, 2, 1]),  # reduced mod 2
+            ExtensionField(2, 3, " t^3 + t + 1 "),
+            field_from_string("GF(8)"),
+            field_from_string("GF(2^3);modulus=t^3+t+1"),
+        ]
+        assert all(field is GF8 for field in spellings)
+
+    def test_other_families_are_one_object(self):
+        assert PrimeField(7) is PrimeField(p=7) is field_from_string("GF(7)") is GF7
+        assert field_from_string("GF(7^1)") is GF7
+        assert Rationals() is field_from_string("Q") is Q
+        assert RationalFunctionField2() is field_from_string(" F2( X ) ") is F2X
+
+    def test_distinct_moduli_are_distinct_fields(self):
+        other = ExtensionField(2, 3, "t^3+t^2+1")
+        assert other is not GF8 and other != GF8
+        assert other is ExtensionField(2, 3, (1, 0, 1, 1))
+        assert len({GF8, other, ExtensionField(2, 3)}) == 2
+        with pytest.raises(FieldMismatchError):
+            GF8.parse("t") * other.parse("t")
+        with pytest.raises(FieldMismatchError):
+            Mat2.identity(GF8) + Mat2.identity(other)
+
+    def test_invalid_descriptor_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="reducible"):
+                ExtensionField(2, 3, "t^3+1")
+            with pytest.raises(ParseError, match="reducible"):
+                field_from_string("GF(2^3);modulus=t^3+1")
+            with pytest.raises(ValueError, match="not prime"):
+                PrimeField(9)
+        assert (ExtensionField, (2, 3, (1, 0, 0, 1))) not in _FIELDS
+        assert (PrimeField, (9,)) not in _FIELDS
+
+    def test_entries_live_only_as_long_as_the_field(self):
+        field = ExtensionField(5, 2, "t^2+2")
+        key = (ExtensionField, (5, 2, (2, 0, 1)))
+        element = field.parse("t")
+        ref = weakref.ref(field)
+        del field
+        gc.collect()
+        assert ExtensionField(5, 2, "t^2+2") is element.field  # the element keeps it
+        del element
+        gc.collect()
+        assert ref() is None
+        assert key not in _FIELDS
+
+    @pytest.mark.parametrize("field", ALL_FIELDS + [ExtensionField(97, 2, "t^2+t+5")], ids=str)
+    def test_copy_and_pickle_return_the_interned_field(self, field):
+        assert copy.copy(field) is field
+        assert copy.deepcopy(field) is field
+        assert pickle.loads(pickle.dumps(field)) is field
+        m = Mat2.identity(field) + Mat2.nilpotent(field)
+        for clone in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert clone == m
+            assert all(entry.field is field for entry in (clone.e11, clone.e12, clone.e21, clone.e22))
+
+    def test_concurrent_construction_yields_one_object(self):
+        cores = os.cpu_count() or 1
+        n_threads = cores + min(cores, 8)
+        # irreducible quartics over GF(97) that nothing else holds, so each
+        # round races on a miss and on the irreducibility check under it
+        moduli = [f"t^4+t+{c}" for c in (6, 11, 12, 16, 23, 29, 32, 33, 45, 53, 60, 63)]
+        spellings = [
+            lambda m: ExtensionField(97, 4, m),
+            lambda m: field_from_string(f"GF(97^4);modulus={m}"),
+            lambda m: PrimeField(2**61 - 1),
+        ]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for modulus in moduli:
+                barrier = threading.Barrier(n_threads, timeout=30)
+                results = [None] * n_threads
+
+                def work(i):
+                    barrier.wait()
+                    results[i] = [spell(modulus) for spell in spellings]
+
+                threads = [
+                    threading.Thread(target=work, args=(i,), daemon=True) for i in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                first = results[0]
+                assert first[0] is first[1]
+                assert all(r[j] is first[j] for r in results for j in range(len(first)))
+        finally:
+            sys.setswitchinterval(old_interval)
+
+
+class TestAsciiDigits:
+    """Digits are ASCII 0-9 in every grammar; other digit characters that
+    str.isdigit() or \\d accept are a ParseError."""
+
+    @pytest.mark.parametrize(
+        "field, text, message",
+        [
+            (GF9, "\u00b2", "expected a term"),  # superscript two
+            (GF9, "t^\u00b2", "expected exponent digits"),
+            (F2X, "x^\u00b2", "expected exponent digits"),
+            (F2X, "\u0661*x", "expected a term"),  # Arabic-Indic one
+            (GF7, "\u0661", "expected [-]digits"),
+            (Q, "\u0661/2", "expected [-]digits[/digits]"),
+            (Q, "1_0", "expected [-]digits[/digits]"),
+        ],
+    )
+    def test_element_rejects_non_ascii_digits(self, field, text, message):
+        with pytest.raises(ParseError) as info:
+            field.parse(text)
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("text", ["GF(\u0667)", "GF(\u0663^2)", "GF(3^\u0662)", "GF(\u00b2)"])
+    def test_field_rejects_non_ascii_digits(self, text):
+        with pytest.raises(ParseError, match="unrecognized field"):
+            field_from_string(text)
+
+    def test_ascii_digits_unchanged(self):
+        assert GF9.parse("2*t^1+10") == GF9.parse("2*t+1")
+        assert F2X.parse("x^10").payload == (1 << 10, 1)
+        assert str(Q.parse("-0010/4")) == "-5/2"
+        assert field_from_string("GF(0009)") is GF9
 
 
 class TestAlgebraicProperties:

@@ -3,6 +3,8 @@
 Each kernel routine is checked against a plain reference written here:
 schoolbook multiplication, Euclid's gcd, and, for the field, reducing the
 textbook sum and product by one gcd of the full numerator and denominator.
+The gcd is also checked against sympy's ``gf_gcd`` over GF(2), where
+sympy is installed.
 """
 
 import random
@@ -84,6 +86,22 @@ class TestKernel:
             assert gf2x.gcd(a << i, a << j) == a << min(i, j)
             assert gf2x.gcd(a, 1) == gf2x.gcd(1, a) == 1
         assert gf2x.gcd(0, 0) == 0
+
+    def test_gcd_matches_sympy(self):
+        pytest.importorskip("sympy")
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_gcd
+
+        def to_sym(a):
+            return [ZZ((a >> i) & 1) for i in reversed(range(a.bit_length()))]
+
+        rng = random.Random(16)
+        for _ in range(300):
+            common = poly(rng, rng.randrange(-1, 40))
+            a = ref_mul(common, poly(rng, rng.randrange(-1, 80)))
+            b = ref_mul(common, poly(rng, rng.randrange(-1, 80)))
+            want = int("".join(str(int(c)) for c in gf_gcd(to_sym(a), to_sym(b), 2, ZZ)) or "0", 2)
+            assert gf2x.gcd(a, b) == want, (a, b)
 
     def test_divmod_identity(self):
         rng = random.Random(14)
