@@ -238,7 +238,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     form, target = f2x_counterexample()
-    trace_sum = target.e11 + target.e22
+    trace_sum = target.trace()
     try:
         decompose(form, target)
     except NotASquareError as exc:

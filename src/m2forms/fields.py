@@ -15,11 +15,14 @@ Field objects are lightweight descriptors that double as element
 factories: ``GF5 = PrimeField(5); a = GF5(3)``.  Elements are immutable,
 hashable, and support the usual operators plus ``frobenius``, ``sqrt``
 and ``is_square``.  The first three families are perfect; the rational
-function field is not, and its missing square roots are exactly what the
+function field is not, and its missing square roots are what the
 characteristic-2 solver reports via NotASquareError.
 
-The finite families share ``elements``, ``random_element`` and ``sqrt``
-from ``Field``, written over the payload hooks; ``_payload_from_index``
+Each family writes its own payload hooks.  ``Field`` supplies the shared
+ones once: ``_div`` and ``FieldElement.inv`` refuse zero (so no ``_inv``
+checks), ``_pow`` is square-and-multiply, ``_is_zero`` is ``a == 0``,
+``_render`` is ``str(a)``, and for the finite families ``elements``,
+``random_element`` and ``sqrt`` run over ``_payload_from_index``, which
 numbers the payloads 0..q-1 in canonical order.
 
 Descriptors are interned by class and normalized key, so every spelling
@@ -259,6 +262,8 @@ class FieldElement:
 
     def inv(self) -> FieldElement:
         """Multiplicative inverse; raises ZeroDivisionError at zero."""
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero")
         return FieldElement(self.field, self.field._inv(self.payload))
 
     def frobenius(self) -> FieldElement:
@@ -364,6 +369,8 @@ class Field:
         raise TypeError(f"cannot make a {self} element from {value!r}")
 
     def _div(self, a, b):
+        if self._is_zero(b):
+            raise ZeroDivisionError("division by zero")
         return self._mul(a, self._inv(b))
 
     def _pow(self, a, e):
@@ -375,6 +382,12 @@ class Field:
             base = self._mul(base, base)
             e >>= 1
         return result
+
+    def _is_zero(self, a):
+        return a == 0
+
+    def _render(self, a):
+        return str(a)
 
     def _sqrt(self, a):
         """Square root in a finite field; the infinite families override it.
@@ -422,12 +435,10 @@ class Field:
 class Rationals(Field):
     """The field of rational numbers with reduced-fraction payloads."""
 
-    _RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
+    _RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
     def __repr__(self):
         return "Q"
-
-    __str__ = __repr__
 
     def _from_int(self, n):
         return Fraction(n)
@@ -450,12 +461,7 @@ class Rationals(Field):
         return -a
 
     def _inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("division by zero")
         return 1 / a
-
-    def _is_zero(self, a):
-        return a == 0
 
     def _sqrt(self, a):
         if a < 0:
@@ -475,12 +481,9 @@ class Rationals(Field):
             raise ParseError("zero denominator", s, len(num) + 1)
         return Fraction(_parse_int(num, s, 0), den)
 
-    def _render(self, a):
-        return str(a)
-
-    def random_element(self, rng, bound: int = 10**6) -> FieldElement:
-        num = rng.randint(-bound, bound)
-        den = rng.randint(1, bound)
+    def random_element(self, rng) -> FieldElement:
+        num = rng.randint(-(10**6), 10**6)
+        den = rng.randint(1, 10**6)
         return FieldElement(self, Fraction(num, den))
 
 
@@ -492,7 +495,7 @@ def _isqrt_exact(n: int) -> int | None:
 class PrimeField(Field):
     """GF(p) for prime p, with least nonnegative residue payloads."""
 
-    _RE = re.compile(r"^-?[0-9]+$")
+    _RE = re.compile(r"^[+-]?[0-9]+$")
 
     @staticmethod
     def _key(p: int):
@@ -507,8 +510,6 @@ class PrimeField(Field):
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    __str__ = __repr__
 
     def _from_int(self, n):
         return n % self.p
@@ -526,23 +527,15 @@ class PrimeField(Field):
         return -a % self.p
 
     def _inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("division by zero")
         return pow(a, self.p - 2, self.p)
 
     def _pow(self, a, e):
         return pow(a, e, self.p)
 
-    def _is_zero(self, a):
-        return a == 0
-
     def _parse_payload(self, s):
         if not self._RE.match(s):
             raise ParseError("expected [-]digits", s, 0)
         return _parse_int(s, s, 0) % self.p
-
-    def _render(self, a):
-        return str(a)
 
     def _payload_from_index(self, idx: int):
         return idx
@@ -616,12 +609,7 @@ class ExtensionField(Field):
         return polys.neg(a, self.p)
 
     def _inv(self, a):
-        if not a:
-            raise ZeroDivisionError("division by zero")
         return polys.inv_mod(a, self.modulus, self.p)
-
-    def _pow(self, a, e):
-        return polys.pow_mod(a, e, self.modulus, self.p)
 
     def _is_zero(self, a):
         return a == ()
@@ -669,8 +657,6 @@ class RationalFunctionField2(Field):
     def __repr__(self):
         return "F2(X)"
 
-    __str__ = __repr__
-
     @staticmethod
     def _reduce(num: int, den: int):
         if den == 0:
@@ -704,8 +690,6 @@ class RationalFunctionField2(Field):
         return a
 
     def _inv(self, a):
-        if a[0] == 0:
-            raise ZeroDivisionError("division by zero")
         return (a[1], a[0])
 
     def _is_zero(self, a):
@@ -758,11 +742,11 @@ class RationalFunctionField2(Field):
             return num_text
         return f"({num_text})/({_render_bits(den)})"
 
-    def random_element(self, rng, max_degree: int = 4) -> FieldElement:
-        num = rng.randrange(1 << (max_degree + 1))
+    def random_element(self, rng) -> FieldElement:
+        num = rng.randrange(32)  # numerator and denominator of degree <= 4
         den = 0
         while den == 0:
-            den = rng.randrange(1 << (max_degree + 1))
+            den = rng.randrange(32)
         return FieldElement(self, self._reduce(num, den))
 
 

@@ -1,8 +1,9 @@
 """2x2 matrices over a field, and diagonal quadratic forms in matrix variables.
 
 Matrices are immutable and hashable, with entries e11, e12, e21, e22 all
-from one field.  A DiagonalForm holds an ordered coefficient vector
-(a1, ..., am) and evaluates sum(ai * Xi**2) at a tuple of matrices.
+from one field; combining matrices over two fields raises the element
+layer's FieldMismatchError.  A DiagonalForm holds an ordered coefficient
+vector (a1, ..., am) and evaluates sum(ai * Xi**2) at a tuple of matrices.
 """
 
 from __future__ import annotations
@@ -57,19 +58,9 @@ class Mat2:
     def entries(self):
         return (self.e11, self.e12, self.e21, self.e22)
 
-    def _check(self, other) -> Mat2:
-        if not isinstance(other, Mat2):
-            raise TypeError(f"expected a matrix, got {other!r}")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"matrices over different fields: {self.field} and {other.field}"
-            )
-        return other
-
     def __add__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        self._check(other)
         return Mat2(
             self.e11 + other.e11,
             self.e12 + other.e12,
@@ -80,7 +71,6 @@ class Mat2:
     def __sub__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        self._check(other)
         return Mat2(
             self.e11 - other.e11,
             self.e12 - other.e12,
@@ -93,7 +83,6 @@ class Mat2:
 
     def __mul__(self, other):
         if isinstance(other, Mat2):
-            self._check(other)
             return Mat2(
                 self.e11 * other.e11 + self.e12 * other.e21,
                 self.e11 * other.e12 + self.e12 * other.e22,

@@ -51,16 +51,19 @@ class SquareSet:
     """The image set {coeff * X**2} over all 2x2 matrices of a small field.
 
     ``first_preimage`` maps each member to the first X (in enumeration
-    order) whose scaled square it is.
+    order) whose scaled square it is; its keys are the members.
     """
 
     field: Field
     coeff: FieldElement
-    members: frozenset[Mat2]
     first_preimage: dict[Mat2, Mat2] = dataclass_field(repr=False)
 
+    @property
+    def members(self):
+        return self.first_preimage.keys()
+
     def __contains__(self, matrix: Mat2) -> bool:
-        return matrix in self.members
+        return matrix in self.first_preimage
 
 
 def build_square_set(field: Field, coeff) -> SquareSet:
@@ -72,7 +75,7 @@ def build_square_set(field: Field, coeff) -> SquareSet:
         value = x.square().scale(coeff)
         if value not in first_preimage:
             first_preimage[value] = x
-    return SquareSet(field, coeff, frozenset(first_preimage), first_preimage)
+    return SquareSet(field, coeff, first_preimage)
 
 
 def representable_two_term(
@@ -88,9 +91,9 @@ def representable_two_term(
     if square_set is None or square_set.coeff != field(a2):
         square_set = build_square_set(field, a2)
     for x1 in all_matrices(field):
-        residual = target - x1.square().scale(a1)
-        if residual in square_set.members:
-            return x1, square_set.first_preimage[residual]
+        x2 = square_set.first_preimage.get(target - x1.square().scale(a1))
+        if x2 is not None:
+            return x1, x2
     return None
 
 
@@ -105,7 +108,7 @@ def check_universal_exhaustive(a1, a2, field: Field) -> tuple[bool, Mat2 | None]
     set2 = build_square_set(field, a2)
     values1 = list(set1.first_preimage)  # insertion order; deterministic
     for target in all_matrices(field):
-        if not any(target - v in set2.members for v in values1):
+        if not any(target - v in set2.first_preimage for v in values1):
             return False, target
     return True, None
 

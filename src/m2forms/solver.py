@@ -5,15 +5,15 @@ solver produces matrices X1, ..., Xm with sum(ai * Xi**2) == A, exactly.
 Only the two lowest-index nonzero coefficients do any work; every other
 slot gets the zero matrix.
 
-Two constructions are used.  Away from characteristic 2 the diagonal gap
-p - s is split across x1 - w1 and x1 + w1 so that x1 + w1 is 1 (or 2
-when p == s), after which the off-diagonal entries follow by division
-and the last entry balances the trace.  In characteristic 2 the same
-system is driven by square roots instead: p + s = (x1 + x2 + w1 + w2)**2
-picks out a unique root in a perfect field, with separate branches for
-scalar targets and for targets that differ from scalar only off the
-diagonal.  Over a non-perfect field the required root may not exist and
-the solver raises NotASquareError naming the element that has none.
+Two constructions share one back-substitution: once x1 and w1 make
+x1 + w1 invertible, the off-diagonal entries of X1 follow by division
+and the last entry balances the trace.  Away from characteristic 2 the
+diagonal gap p - s is split so that x1 + w1 is 1 (or 2 when p == s).
+In characteristic 2 square roots such as sqrt((p + s)/a1) pick x1, with
+separate branches for scalar targets (where [[0,1],[c,0]]**2 = c*I covers
+a missing root) and for targets that differ from scalar only off the
+diagonal.  Over a non-perfect field another required root may not exist,
+and the solver raises NotASquareError naming the element that has none.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .errors import (
     CharacteristicError,
     FieldMismatchError,
+    NotASquareError,
     NotUniversalFormError,
     ZeroCoefficientError,
 )
@@ -55,6 +56,20 @@ def _check_pair(a1: FieldElement, a2: FieldElement, target: Mat2):
     return field
 
 
+def _back_substitute(a1, a2, target: Mat2, x1, w1) -> tuple[Mat2, Mat2]:
+    """X1 = [[x1,y1],[z1,w1]] and X2 = [[0,y2],[1,0]] for given x1 and w1.
+
+    X2**2 = y2*I, so q and r divide out over a1*(x1+w1), invertible in
+    both callers, and y2 balances s; p holds once a1*(x1**2-w1**2) = p-s.
+    """
+    _, q, r, s = target.entries()
+    t = (a1 * (x1 + w1)).inv()
+    y1, z1 = q * t, r * t
+    y2 = (s - a1 * (y1 * z1 + w1 * w1)) / a2
+    zero = target.field.zero()
+    return Mat2(x1, y1, z1, w1), Mat2(zero, y2, target.field.one(), zero)
+
+
 def decompose_pair_odd_char(
     a1: FieldElement, a2: FieldElement, target: Mat2
 ) -> tuple[Mat2, Mat2]:
@@ -68,21 +83,13 @@ def decompose_pair_odd_char(
     field = _check_pair(a1, a2, target)
     if field.characteristic == 2:
         raise CharacteristicError("this construction requires characteristic != 2")
-    p, q, r, s = target.entries()
-    zero, one = field.zero(), field.one()
-    two = one + one
+    p, s = target.e11, target.e22
     if p == s:
-        x1 = w1 = one
+        x1 = w1 = field.one()
     else:
-        gap = p - s
-        x1 = (gap + a1) / (two * a1)
-        w1 = (a1 - gap) / (two * a1)
-    t = x1 + w1
-    assert not t.is_zero()  # equals 2 or 1 by construction
-    y1 = q / (a1 * t)
-    z1 = r / (a1 * t)
-    y2 = (s - a1 * y1 * z1 - a1 * w1 * w1) / a2
-    return Mat2(x1, y1, z1, w1), Mat2(zero, y2, one, zero)
+        gap, half = p - s, (2 * a1).inv()
+        x1, w1 = (gap + a1) * half, (a1 - gap) * half
+    return _back_substitute(a1, a2, target, x1, w1)
 
 
 def decompose_pair_char2(
@@ -92,9 +99,10 @@ def decompose_pair_char2(
 
     Branches on the target's shape:
 
-      p != s          x1 = sqrt((p+s)/a1) is nonzero; everything else
-                      divides out against it, with z2 = 1 balancing.
-      scalar target   X1 = sqrt(p/a1) * I and X2 = 0.
+      p != s          x1 = sqrt((p+s)/a1) is nonzero and w1 = 0; the
+                      odd construction's back-substitution finishes.
+      scalar target   X1 = sqrt(p/a1) * I and X2 = 0; with no root,
+                      X1 = [[0,1],[p/a1,0]], whose square is (p/a1)*I.
       p == s, q != 0  x1 = sqrt(a2/a1) and w2 = 1, so the two x+w sums
                       are x1 and 1; z1 and z2 absorb p and r.
       p == s, r != 0  the previous branch on the transpose, transposed.
@@ -108,22 +116,20 @@ def decompose_pair_char2(
     p, q, r, s = target.entries()
     zero, one = field.zero(), field.one()
     if p != s:
-        x1 = ((p + s) / a1).sqrt()
-        assert not x1.is_zero()  # p + s != 0 here
-        y1 = q / (a1 * x1)
-        z1 = r / (a1 * x1)
-        y2 = (s + a1 * y1 * z1) / a2
-        return Mat2(x1, y1, z1, zero), Mat2(zero, y2, one, zero)
+        return _back_substitute(a1, a2, target, ((p + s) / a1).sqrt(), zero)
     if q.is_zero() and r.is_zero():
-        c = (p / a1).sqrt()
-        return Mat2(c, zero, zero, c), Mat2.zero(field)
+        c = p / a1
+        try:
+            root = c.sqrt()
+        except NotASquareError:
+            return Mat2(zero, one, c, zero), Mat2.zero(field)
+        return Mat2(root, zero, zero, root), Mat2.zero(field)
     if not q.is_zero():
         x1 = (a2 / a1).sqrt()
-        assert not x1.is_zero()
-        balance = p + a2
+        balance, q_inv = p + a2, q.inv()
         y1 = q / (a1 * x1)
-        z1 = balance * x1 / q
-        z2 = r / a2 + balance / q
+        z1 = balance * x1 * q_inv
+        z2 = r / a2 + balance * q_inv
         return Mat2(x1, y1, z1, zero), Mat2(zero, zero, z2, one)
     # p == s, q == 0, r != 0: mirror the q != 0 branch through the transpose
     X1, X2 = decompose_pair_char2(a1, a2, target.transpose())

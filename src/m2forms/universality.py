@@ -27,8 +27,6 @@ UNIVERSAL = "universal"
 NOT_UNIVERSAL = "not-universal"
 UNDECIDED = "undecided"
 
-_ORACLE_CONFIRM_MAX_ORDER = 5
-
 
 @dataclass(frozen=True)
 class UniversalityVerdict:
@@ -106,7 +104,7 @@ def single_term_witness(a: FieldElement) -> tuple[Mat2, SingleTermExplanation]:
     field = a.field
     witness = nilpotent_witness(field)
     confirmed = None
-    if field.finite and field.order <= _ORACLE_CONFIRM_MAX_ORDER:
+    if field.finite and field.order <= oracle.SWEEP_MAX_ORDER:
         confirmed = oracle.first_solution([a], witness, field) is None
     if a.is_zero():
         equations = ("0*X^2 = 0 for every X",)
@@ -135,7 +133,7 @@ def f2x_necessary_condition(target: Mat2) -> bool:
     """
     if target.field != RationalFunctionField2():
         raise FieldMismatchError("this check applies over GF(2)(x) only")
-    return (target.e11 + target.e22).is_square()
+    return target.trace().is_square()
 
 
 def f2x_counterexample() -> tuple[DiagonalForm, Mat2]:

@@ -45,6 +45,18 @@ class TestDecompose:
         assert code == 2
         assert "NotASquare(x)" in out
 
+    @pytest.mark.parametrize(
+        "coeffs, target, x1",
+        [("1,1", "[[x,0],[0,x]]", "[[0,1],[x,0]]"), ("x,1", "[[1,0],[0,1]]", "[[0,1],[(1)/(x),0]]")],
+    )
+    def test_non_perfect_scalar_target(self, capsys, coeffs, target, x1):
+        argv = ["--field", "F2(X)", "--coeffs", coeffs, "--target", target]
+        code, out, _ = run(capsys, "decompose", *argv)
+        assert code == 0
+        assert out.splitlines() == [f"X1 = {x1}", "X2 = [[0,0],[0,0]]", "check: OK"]
+        code, out, _ = run(capsys, "verify", *argv, "--matrices", x1, "[[0,0],[0,0]]")
+        assert (code, out) == (0, "check: OK\n")
+
     def test_single_term_refused(self, capsys):
         code, out, _ = run(
             capsys, "decompose", "--field", "GF(5)", "--coeffs", "7",
@@ -218,6 +230,36 @@ class TestAsciiDigits:
         code, _, err = run(capsys, "universal-z", "--coeffs", "9" * 5000 + ",1")
         assert code == 3
         assert err.startswith("error: expected an integer coefficient")
+
+
+class TestSignRule:
+    """One leading '+' or '-' in every grammar; doubled or inner signs are
+    malformed input (exit 3) with the grammar's usual message."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["universal", "--field", "Q", "--coeffs", "+1,1"],
+            ["universal", "--field", "GF(7)", "--coeffs", "+1,1"],
+            ["universal", "--field", "Q", "--coeffs", "+1/2,1"],
+        ],
+    )
+    def test_leading_plus_accepted(self, capsys, argv):
+        assert run(capsys, *argv)[:2] == (0, "Universal\n")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["coeffs"][0] in ("1", "1/2")
+
+    @pytest.mark.parametrize(
+        "field, coeff, message",
+        [("Q", "1/+2", "expected [-]digits[/digits]"), ("Q", "+-1", "expected [-]digits[/digits]"),
+         ("Q", "++1", "expected [-]digits[/digits]"), ("GF(7)", "+-1", "expected [-]digits"),
+         ("GF(7)", "++1", "expected [-]digits")],
+    )
+    def test_doubled_or_inner_signs_rejected(self, capsys, field, coeff, message):
+        code, out, err = run(capsys, "universal", "--field", field, "--coeffs", f"{coeff},1")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {message} ")
 
 
 class TestOracle:

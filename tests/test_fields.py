@@ -374,6 +374,24 @@ class TestFieldFromString:
             assert "6 is not a prime power" in result.stderr
 
 
+class TestLeadingPlus:
+    """Q and GF(p) take a leading '+', as the polynomial grammar does."""
+
+    def test_accepted(self):
+        assert Q.parse("+1/2") == Q.parse("1/2")
+        assert Q.parse("+3") == Q(3)
+        assert GF7.parse("+10") == GF7(3)
+        assert str(Q.parse(" + 4 / 6 ")) == "2/3"
+
+    @pytest.mark.parametrize("text", ["1/+2", "+-1", "++1", "-+1", "+", "+/2"])
+    def test_still_rejected(self, text):
+        with pytest.raises(ParseError):
+            Q.parse(text)
+        if "/" not in text:
+            with pytest.raises(ParseError):
+                GF7.parse(text)
+
+
 class TestCrossField:
     def test_mismatch(self):
         with pytest.raises(FieldMismatchError):
@@ -386,6 +404,22 @@ class TestCrossField:
         assert other != GF9
         with pytest.raises(FieldMismatchError):
             GF9.parse("t") + other.parse("t")
+
+
+class TestZeroDivision:
+    """Division, inv and negative powers refuse zero with one message in
+    every family, whatever the family's own inverse would do."""
+
+    NONZERO = {Q: "-3/7", GF7: "3", GF9: "t+1", GF8: "t^2+1", F2X: "(x+1)/x"}
+
+    @pytest.mark.parametrize("field", list(NONZERO), ids=str)
+    def test_zero_is_refused(self, field):
+        a = field.parse(self.NONZERO[field])
+        for op in (lambda: a / field.zero(), lambda: a / 0, lambda: 1 / field.zero(),
+                   lambda: field.zero().inv(), lambda: field.zero() ** -1):
+            with pytest.raises(ZeroDivisionError) as err:
+                op()
+            assert str(err.value) == "division by zero"
 
 
 class TestInterning:

@@ -99,6 +99,10 @@ class TestArithmetic:
         with pytest.raises(FieldMismatchError):
             Mat2.identity(GF3) * Mat2.identity(GF5)
 
+    def test_cross_field_subtraction_rejected(self):
+        with pytest.raises(FieldMismatchError):
+            Mat2.identity(GF3) - Mat2.identity(GF5)
+
     def test_cayley_hamilton(self):
         # X^2 = trace(X) * X - det(X) * I
         rng = random.Random(3)

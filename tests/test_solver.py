@@ -121,6 +121,20 @@ class TestChar2Golden:
             decompose_pair_char2(F2X(1), F2X(1), target)
         assert err.value.element == x
 
+    @pytest.mark.parametrize(
+        "coeffs, entry", [((1, 1), "x"), (("x", 1), "1"), (("x+1", "x"), "(x^2+1)/x")]
+    )
+    def test_non_perfect_scalar_without_a_root(self, coeffs, entry):
+        # [[0,1],[c,0]]**2 == c*I, so a scalar target needs no square root
+        a1, a2 = (F2X(c) if isinstance(c, int) else F2X.parse(c) for c in coeffs)
+        target = Mat2.parse(F2X, f"[[{entry},0],[0,{entry}]]")
+        c = target.e11 / a1
+        assert not c.is_square()
+        x1, x2 = decompose_pair_char2(a1, a2, target)
+        assert x1 == Mat2(F2X.zero(), F2X.one(), c, F2X.zero())
+        assert x2 == Mat2.zero(F2X)
+        assert x1.square().scale(a1) + x2.square().scale(a2) == target
+
     def test_non_perfect_success_past_the_root(self):
         # p + s = x^2 has the root x, so this target decomposes fine
         target = Mat2.of(F2X, [["x^2", 0], [0, 0]])
