@@ -40,6 +40,10 @@ class NotASquareError(ArithmeticError):
         super().__init__(f"not a square: {element}")
         self.element = element
 
+    def __reduce__(self):
+        # unpickling calls the class again: pass the element, not the message
+        return type(self), (self.element,)
+
 
 class NotUniversalFormError(ValueError):
     """The form cannot represent every 2x2 matrix.

@@ -20,10 +20,11 @@ characteristic-2 solver reports via NotASquareError.
 
 Each family writes its own payload hooks.  ``Field`` supplies the shared
 ones once: ``_div`` and ``FieldElement.inv`` refuse zero (so no ``_inv``
-checks), ``_pow`` is square-and-multiply, ``_is_zero`` is ``a == 0``,
-``_render`` is ``str(a)``, and for the finite families ``elements``,
-``random_element`` and ``sqrt`` run over ``_payload_from_index``, which
-numbers the payloads 0..q-1 in canonical order.
+checks), ``_pow`` is square-and-multiply, ``_is_zero`` is ``not a``
+(every zero payload but F2(X)'s pair is falsy), ``_render`` is
+``str(a)``, and for the finite families ``elements``, ``random_element``
+and ``sqrt`` run over ``_payload_from_index``, which numbers the
+payloads 0..q-1 in canonical order.
 
 Descriptors are interned by class and normalized key, so every spelling
 of a field is one object and field equality is identity.
@@ -384,7 +385,7 @@ class Field:
         return result
 
     def _is_zero(self, a):
-        return a == 0
+        return not a
 
     def _render(self, a):
         return str(a)
@@ -610,9 +611,6 @@ class ExtensionField(Field):
 
     def _inv(self, a):
         return polys.inv_mod(a, self.modulus, self.p)
-
-    def _is_zero(self, a):
-        return a == ()
 
     def _payload_from_index(self, idx: int):
         digits = []

@@ -14,7 +14,6 @@ two-term query (CLI, single-term explanation) and own their bounds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
 
 from .errors import FieldTooLargeError, InfiniteFieldError
 from .fields import Field, FieldElement
@@ -46,7 +45,6 @@ def all_matrices(field: Field):
         yield Mat2(*entries)
 
 
-@dataclass(frozen=True)
 class SquareSet:
     """The image set {coeff * X**2} over all 2x2 matrices of a small field.
 
@@ -54,9 +52,10 @@ class SquareSet:
     order) whose scaled square it is; its keys are the members.
     """
 
-    field: Field
-    coeff: FieldElement
-    first_preimage: dict[Mat2, Mat2] = dataclass_field(repr=False)
+    __slots__ = ("field", "coeff", "first_preimage")
+
+    def __init__(self, field: Field, coeff: FieldElement, first_preimage: dict[Mat2, Mat2]):
+        self.field, self.coeff, self.first_preimage = field, coeff, first_preimage
 
     @property
     def members(self):

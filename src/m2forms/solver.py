@@ -18,7 +18,7 @@ and the solver raises NotASquareError naming the element that has none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     CharacteristicError,
@@ -31,20 +31,16 @@ from .fields import FieldElement
 from .matrices import DiagonalForm, Mat2
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "form target matrices")):
     """A verified solution: evaluating the form at ``matrices`` gives ``target``."""
 
-    form: DiagonalForm
-    target: Mat2
-    matrices: tuple[Mat2, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        value = self.form.evaluate(self.matrices)
-        if value != self.target:
-            raise ValueError(
-                f"matrices evaluate to {value}, not the target {self.target}"
-            )
+    def __new__(cls, form: DiagonalForm, target: Mat2, matrices: tuple[Mat2, ...]):
+        value = form.evaluate(matrices)
+        if value != target:
+            raise ValueError(f"matrices evaluate to {value}, not the target {target}")
+        return super().__new__(cls, form, target, matrices)
 
 
 def _check_pair(a1: FieldElement, a2: FieldElement, target: Mat2):

@@ -15,7 +15,7 @@ Also here: the classical arithmetic criterion for universality over the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from .errors import FieldMismatchError
@@ -28,8 +28,7 @@ NOT_UNIVERSAL = "not-universal"
 UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class UniversalityVerdict:
+class UniversalityVerdict(namedtuple("UniversalityVerdict", "status witness reason")):
     """Outcome of a universality decision.
 
     ``status`` is one of the module constants UNIVERSAL, NOT_UNIVERSAL,
@@ -38,13 +37,12 @@ class UniversalityVerdict:
     fields, where the counting criterion does not apply.
     """
 
-    status: str
-    witness: Optional[Mat2]
-    reason: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.status == NOT_UNIVERSAL and self.witness is None:
+    def __new__(cls, status: str, witness: Optional[Mat2], reason: str):
+        if status == NOT_UNIVERSAL and witness is None:
             raise ValueError("a not-universal verdict needs a witness")
+        return super().__new__(cls, status, witness, reason)
 
 
 nilpotent_witness = Mat2.nilpotent
@@ -84,8 +82,9 @@ def lee_criterion(coeffs: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SingleTermExplanation:
+class SingleTermExplanation(
+    namedtuple("SingleTermExplanation", "equations conclusion oracle_confirmed")
+):
     """Why a one-term form misses the nilpotent witness.
 
     ``equations`` lists the entry equations of a*X**2 == [[0,1],[0,0]]
@@ -94,9 +93,7 @@ class SingleTermExplanation:
     exhaustive check; it is None when no such check ran.
     """
 
-    equations: tuple[str, ...]
-    conclusion: str
-    oracle_confirmed: Optional[bool]
+    __slots__ = ()
 
 
 def single_term_witness(a: FieldElement) -> tuple[Mat2, SingleTermExplanation]:

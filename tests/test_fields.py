@@ -5,10 +5,12 @@ import gc
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import threading
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +27,7 @@ from m2forms import (
     Rationals,
     field_from_string,
     is_prime,
+    polys,
 )
 from m2forms.fields import _FIELDS, _prime_power
 
@@ -600,3 +603,81 @@ class TestAlgebraicProperties:
         if not a.is_zero():
             assert a**-1 == a.inv()
         assert len({a, field(a), a + field.zero()}) == 1
+
+
+class TestElementProtocol:
+    """Comparison with ints, truth value, refused operand types and reprs."""
+
+    def test_equality_with_int(self):
+        assert GF7(3) == 3 and GF7(3) == 10
+        assert GF7(3) != 4
+        assert Q(1) == 1
+
+    def test_truth_value(self):
+        assert not GF7(0) and not Q(0) and not GF9.zero() and not F2X.zero()
+        assert GF7(2) and Q.parse("-1/2") and GF9.parse("t") and F2X.parse("x")
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda: Q(1) + "1", lambda: 2.0 * GF7(1), lambda: GF7(1) ** 1.5],
+        ids=["add-str", "float-mul", "float-pow"],
+    )
+    def test_unsupported_operands(self, op):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+
+    def test_fraction_construction(self):
+        assert Q(Fraction(1, 2)) == Q.parse("1/2")
+        with pytest.raises(TypeError, match=r"cannot make a GF\(7\) element from Fraction"):
+            GF7(Fraction(1, 2))
+
+    def test_repr(self):
+        assert repr(GF7(3)) == "GF(7)(3)"
+        assert repr(Q.parse("-1/2")) == "Q(-1/2)"
+        assert repr(GF9.parse("t+1")) == "GF(3^2)(t+1)"
+        assert repr(F2X.parse("x/(x+1)")) == "F2(X)((x)/(x+1))"
+
+
+class TestParseAndBoundErrors:
+    @pytest.mark.parametrize(
+        "field, text, message",
+        [
+            (GF9, "t^5000", "exponent too large (at position 2 in 't^5000')"),
+            (GF9, "2*5", "expected 't' after '*' (at position 2 in '2*5')"),
+            (GF9, "t3", "expected '+' or '-' (at position 1 in 't3')"),
+            (F2X, "(x)+(1)", "expected a term (at position 0 in '(x)+(1)')"),
+        ],
+    )
+    def test_parse_errors(self, field, text, message):
+        with pytest.raises(ParseError) as err:
+            field.parse(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: PrimeField(2**64 + 13), "prime fields above 2**64 are not supported"),
+            (lambda: ExtensionField(2, 1), "extension degree must be at least 2"),
+            (lambda: ExtensionField(101, 2), "supports degree <= 8 over p <= 97 only"),
+        ],
+        ids=["prime-above-2^64", "degree-1", "p-above-97"],
+    )
+    def test_constructor_bounds(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("GF(2^0)", "extension degree must be positive"),
+            ("GF(18446744073709551616)", "from 2**64 up are not supported"),
+        ],
+    )
+    def test_descriptor_bounds(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            field_from_string(text)
+
+    def test_constants_are_not_irreducible(self):
+        for p in (2, 5):
+            for constant in ((), (1,), (p - 1,)):
+                assert not polys.is_irreducible(constant, p)

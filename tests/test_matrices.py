@@ -211,3 +211,28 @@ class TestDiagonalForm:
     def test_coefficients_coerce(self):
         form = DiagonalForm(GF5, ["7", 2])
         assert form.coeffs[0] == GF5(2)
+
+
+class TestProtocol:
+    """Refused operands, reprs, and DiagonalForm's value semantics."""
+
+    def test_add_int_is_refused(self):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            Mat2.identity(GF5) + 1
+
+    def test_mat2_repr(self):
+        assert repr(Mat2.of(GF5, [[1, 2], [3, 4]])) == (
+            "Mat2(GF(5)(1), GF(5)(2), GF(5)(3), GF(5)(4))"
+        )
+        assert repr(Mat2.parse(Q, "[[1/2,0],[0,-1]]")) == "Mat2(Q(1/2), Q(0), Q(0), Q(-1))"
+
+    def test_diagonal_form_value_semantics(self):
+        form = DiagonalForm(GF5, [1, 2])
+        same = DiagonalForm(GF5, ["6", 7])
+        assert form == same and hash(form) == hash(same)
+        assert form != DiagonalForm(GF5, [1, 3])
+        assert form != DiagonalForm(GF3, [1, 2])
+        assert form != DiagonalForm(GF5, [1, 2, 0])
+        assert str(form) == "1,2"
+        assert repr(form) == "DiagonalForm(GF(5), [1,2])"
+        assert repr(DiagonalForm(GF9, ["t", 1])) == "DiagonalForm(GF(3^2), [t,1])"
