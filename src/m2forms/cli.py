@@ -33,11 +33,17 @@ from .errors import (
     NotUniversalFormError,
     ParseError,
 )
-from .fields import Field, FieldElement, field_from_string
+from .fields import field_from_string
 from .matrices import DiagonalForm, Mat2
 from .oracle import check_term_count, first_solution, first_unrepresentable
 from .solver import decompose
-from .universality import UNIVERSAL, decide_universality, f2x_counterexample, lee_criterion
+from .universality import (
+    UNIVERSAL,
+    decide_universality,
+    f2x_counterexample,
+    f2x_necessary_condition,
+    lee_criterion,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
@@ -84,13 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_coeffs(field: Field, text: str) -> list[FieldElement]:
-    parts = text.split(",")
-    if any(not part.strip() for part in parts):
-        raise ParseError("empty coefficient", text, 0)
-    return [field.parse(part) for part in parts]
-
-
 def _parse_int_coeffs(text: str) -> list[int]:
     parts = [part.strip() for part in text.split(",")]
     try:
@@ -100,6 +99,26 @@ def _parse_int_coeffs(text: str) -> list[int]:
     except ValueError:  # more digits than int() converts
         pass
     raise ParseError("expected an integer coefficient", text, 0)
+
+
+def _request(args, check=None):
+    """The form, the target (None without --target) and their JSON echo.
+
+    Parses --field, then --coeffs, which ``check`` vets, then --target.
+    """
+    field = field_from_string(args.field)
+    parts = args.coeffs.split(",")
+    if any(not part.strip() for part in parts):
+        raise ParseError("empty coefficient", args.coeffs, 0)
+    form = DiagonalForm(field, [field.parse(part) for part in parts])
+    if check is not None:
+        check(form.coeffs)
+    echo = {"field": str(field), "coeffs": [str(c) for c in form.coeffs]}
+    target = getattr(args, "target", None)
+    if target is not None:
+        target = Mat2.parse(field, target)
+        echo["target"] = str(target)
+    return form, target, echo
 
 
 def _emit(args, lines: list[str], payload: dict) -> None:
@@ -115,14 +134,7 @@ def _matrix_lines(matrices) -> list[str]:
 
 
 def _cmd_decompose(args) -> int:
-    field = field_from_string(args.field)
-    form = DiagonalForm(field, _parse_coeffs(field, args.coeffs))
-    target = Mat2.parse(field, args.target)
-    base = {
-        "field": str(field),
-        "coeffs": [str(c) for c in form.coeffs],
-        "target": str(target),
-    }
+    form, target, base = _request(args)
     try:
         result = decompose(form, target)
     except NotUniversalFormError as exc:
@@ -139,38 +151,27 @@ def _cmd_decompose(args) -> int:
             base | {"error": "NotASquare", "element": str(exc.element)},
         )
         return EXIT_NEGATIVE
-    lines = _matrix_lines(result.matrices)
-    lines.append("check: OK")
+    lines = [*_matrix_lines(result.matrices), "check: OK"]
     _emit(args, lines, base | {"matrices": [str(m) for m in result.matrices], "verified": True})
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    field = field_from_string(args.field)
-    form = DiagonalForm(field, _parse_coeffs(field, args.coeffs))
-    target = Mat2.parse(field, args.target)
-    matrices = [Mat2.parse(field, text) for text in args.matrices]
+    form, target, echo = _request(args)
+    matrices = [Mat2.parse(form.field, text) for text in args.matrices]
     value = form.evaluate(matrices)
     verified = value == target
     lines = ["check: OK"] if verified else ["check: FAIL", f"value: {value}"]
     _emit(
         args,
         lines,
-        {
-            "field": str(field),
-            "coeffs": [str(c) for c in form.coeffs],
-            "target": str(target),
-            "matrices": [str(m) for m in matrices],
-            "value": str(value),
-            "verified": verified,
-        },
+        echo | {"matrices": [str(m) for m in matrices], "value": str(value), "verified": verified},
     )
     return EXIT_OK if verified else EXIT_NEGATIVE
 
 
 def _cmd_universal(args) -> int:
-    field = field_from_string(args.field)
-    form = DiagonalForm(field, _parse_coeffs(field, args.coeffs))
+    form, _, echo = _request(args)
     verdict = decide_universality(form)
     if verdict.status == UNIVERSAL:
         lines = ["Universal"]
@@ -178,17 +179,8 @@ def _cmd_universal(args) -> int:
         lines = ["NotUniversal", f"witness: {verdict.witness}"]
     else:
         lines = [f"Undecided ({verdict.reason})"]
-    _emit(
-        args,
-        lines,
-        {
-            "field": str(field),
-            "coeffs": [str(c) for c in form.coeffs],
-            "status": verdict.status,
-            "witness": None if verdict.witness is None else str(verdict.witness),
-            "reason": verdict.reason,
-        },
-    )
+    witness = None if verdict.witness is None else str(verdict.witness)
+    _emit(args, lines, echo | {"status": verdict.status, "witness": witness, "reason": verdict.reason})
     return EXIT_OK if verdict.status == UNIVERSAL else EXIT_NEGATIVE
 
 
@@ -204,26 +196,20 @@ def _cmd_universal_z(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    field = field_from_string(args.field)
-    coeffs = _parse_coeffs(field, args.coeffs)
-    check_term_count(coeffs)  # before the target: too many terms is exit 4 whatever it is
-    base = {"field": str(field), "coeffs": [str(c) for c in coeffs]}
-
-    if args.target is not None:
-        target = Mat2.parse(field, args.target)
-        base["target"] = str(target)
-        found = first_solution(coeffs, target, field)
+    # terms before the target: too many terms is exit 4 whatever the target is
+    form, target, base = _request(args, check_term_count)
+    if target is not None:
+        found = first_solution(form.coeffs, target, form.field)
         if found is None:
             _emit(args, ["unrepresentable"], base | {"representable": False, "matrices": None})
             return EXIT_NEGATIVE
-        lines = _matrix_lines(found)
-        lines.append("representable")
+        lines = [*_matrix_lines(found), "representable"]
         _emit(args, lines, base | {"representable": True, "matrices": [str(m) for m in found]})
         return EXIT_OK
 
-    counterexample = first_unrepresentable(coeffs, field)
+    counterexample = first_unrepresentable(form.coeffs, form.field)
     universal = counterexample is None
-    total = field.order**4
+    total = form.field.order**4
     base |= {"targets": total, "universal": universal}
     if universal:
         _emit(args, [f"all {total} targets representable"], base | {"counterexample": None})
@@ -258,7 +244,7 @@ def _cmd_counterexample(args) -> int:
         "coeffs": [str(c) for c in form.coeffs],
         "target": str(target),
         "trace_sum": str(trace_sum),
-        "trace_sum_is_square": trace_sum.is_square(),
+        "trace_sum_is_square": f2x_necessary_condition(target),
         "decompose_error": f"NotASquare({failing})",
     }
     _emit(args, lines, payload)

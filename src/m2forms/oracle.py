@@ -8,7 +8,10 @@ order (e11, e12, e21, e22) over each field's canonical element order,
 which makes witnesses and first counterexamples deterministic.
 
 ``first_solution`` and ``first_unrepresentable`` answer every one- and
-two-term query (CLI, single-term explanation) and own their bounds.
+two-term query (CLI, single-term explanation) and own their bounds.  A
+one-term form a is the two-term form a, 0: the square set of a zero
+coefficient is {0} and needs no enumeration, so a one-term query stops
+at its first preimage.
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ def _check_finite(field: Field, bound: int, name: str = "bound"):
     if not field.finite:
         raise InfiniteFieldError(f"cannot enumerate matrices over {field}")
     if field.order > bound:
-        raise FieldTooLargeError(
-            f"{field} has order {field.order}, above the {name} {bound}"
-        )
+        raise FieldTooLargeError(f"{field} has order {field.order}, above the {name} {bound}")
 
 
 def check_term_count(coeffs) -> None:
@@ -69,6 +70,9 @@ def build_square_set(field: Field, coeff) -> SquareSet:
     """Enumerate {coeff * X**2 : X in M2(field)} for a field of order <= 16."""
     _check_finite(field, MAX_ORDER)
     coeff = field(coeff)
+    if not coeff:  # 0 * X**2 == 0, first reached at the zero matrix
+        zero = Mat2.zero(field)
+        return SquareSet(field, coeff, {zero: zero})
     first_preimage: dict[Mat2, Mat2] = {}
     for x in all_matrices(field):
         value = x.square().scale(coeff)
@@ -102,7 +106,7 @@ def check_universal_exhaustive(a1, a2, field: Field) -> tuple[bool, Mat2 | None]
     Returns (True, None) when every one of the q**4 targets is a value
     of a1*X1**2 + a2*X2**2, else (False, first unrepresentable target).
     """
-    _check_finite(field, SWEEP_MAX_ORDER)
+    _check_finite(field, SWEEP_MAX_ORDER, "sweep bound")
     set1 = build_square_set(field, a1)
     set2 = build_square_set(field, a2)
     values1 = list(set1.first_preimage)  # insertion order; deterministic
@@ -118,10 +122,9 @@ def first_solution(coeffs, target: Mat2, field: Field) -> tuple[Mat2, ...] | Non
     Takes one or two coefficients over a field of order <= 16.
     """
     check_term_count(coeffs)
-    if len(coeffs) == 1:
-        square_set = build_square_set(field, coeffs[0])
-        return (square_set.first_preimage[target],) if target in square_set else None
-    return representable_two_term(coeffs[0], coeffs[1], target, field)
+    a1, a2 = (*coeffs, 0)[:2]  # a one-term form a is the two-term form a, 0
+    found = representable_two_term(a1, a2, target, field)
+    return None if found is None else found[: len(coeffs)]
 
 
 def first_unrepresentable(coeffs, field: Field) -> Mat2 | None:
@@ -130,8 +133,5 @@ def first_unrepresentable(coeffs, field: Field) -> Mat2 | None:
     Takes one or two coefficients over a field of order <= 5.
     """
     check_term_count(coeffs)
-    _check_finite(field, SWEEP_MAX_ORDER, "sweep bound")
-    if len(coeffs) == 1:
-        square_set = build_square_set(field, coeffs[0])
-        return next((m for m in all_matrices(field) if m not in square_set), None)
-    return check_universal_exhaustive(coeffs[0], coeffs[1], field)[1]
+    a1, a2 = (*coeffs, 0)[:2]
+    return check_universal_exhaustive(a1, a2, field)[1]

@@ -76,23 +76,21 @@ def mod(a, b, p):
 
 
 def ext_gcd(a, b, p):
-    """Monic g and s, t with s*a + t*b = g = gcd(a, b)."""
+    """Monic g = gcd(a, b) and s with s*a = g modulo b."""
     s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
     while b:
         q, r = divmod_(a, b, p)
         a, b = b, r
         s0, s1 = s1, sub(s0, mul(q, s1, p), p)
-        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
     if not a:
-        return (), s0, t0
+        return (), s0
     c = pow(a[-1], -1, p)
-    return scale(a, c, p), scale(s0, c, p), scale(t0, c, p)
+    return scale(a, c, p), scale(s0, c, p)
 
 
 def inv_mod(a, m, p):
     """Inverse of a modulo m, for gcd(a, m) == 1."""
-    g, s, _ = ext_gcd(a, m, p)
+    g, s = ext_gcd(a, m, p)
     if g != (1,):
         raise ZeroDivisionError("element is not invertible")
     return mod(s, m, p)

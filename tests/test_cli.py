@@ -372,6 +372,11 @@ class TestOracleExactOutput:
                 ["--field", "GF(2)", "--coeffs", "1,1,1", "--target", "[[junk", "--json"], 4,
                 f'{{"error": "FieldTooLarge", "message": "{TOO_MANY}"}}\n', "",
             ),
+            # a one-term query stops at its first preimage, here the first matrix
+            (
+                ["--field", "GF(2^4)", "--coeffs", "1", "--target", "[[0,0],[0,0]]"], 0,
+                "X1 = [[0,0],[0,0]]\nrepresentable\n", "",
+            ),
         ],
     )
     def test_output(self, capsys, argv, code, out, err):

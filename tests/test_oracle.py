@@ -5,6 +5,7 @@ import pytest
 from m2forms import (
     DiagonalForm,
     ExtensionField,
+    FieldMismatchError,
     FieldTooLargeError,
     InfiniteFieldError,
     Mat2,
@@ -15,6 +16,8 @@ from m2forms import (
     build_square_set,
     check_universal_exhaustive,
     decompose,
+    first_solution,
+    first_unrepresentable,
     representable_two_term,
 )
 
@@ -23,6 +26,7 @@ GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
 GF4 = ExtensionField(2, 2)
+GF16 = ExtensionField(2, 4)
 F2X = RationalFunctionField2()
 
 N_GF2 = Mat2.of(GF2, [[0, 1], [0, 0]])
@@ -147,3 +151,72 @@ class TestSweep:
     def test_infinite_rejected(self):
         with pytest.raises(InfiniteFieldError):
             check_universal_exhaustive(1, 1, Q)
+
+
+@pytest.fixture
+def square_calls(monkeypatch):
+    """Counts Mat2.square calls made after the fixture is set up."""
+    calls = []
+    square = Mat2.square
+
+    def counted(self):
+        calls.append(self)
+        return square(self)
+
+    monkeypatch.setattr(Mat2, "square", counted)
+    return calls
+
+
+class TestOneTermAsTwoTerm:
+    """A one-term form a answers exactly as the two-term form a, 0."""
+
+    # every target over GF(2) and GF(3); every 8th over GF(4), where each
+    # unrepresentable target squares all 256 matrices (15 s for all targets)
+    @pytest.mark.parametrize(
+        "field, stride", [(GF2, 1), (GF3, 1), (GF4, 8)], ids=["GF2", "GF3", "GF4"]
+    )
+    def test_first_solution_is_first_preimage(self, field, stride):
+        for a in field.elements():
+            first = {}
+            for x in all_matrices(field):
+                first.setdefault(x.square().scale(a), x)
+            for target in list(all_matrices(field))[::stride]:
+                expected = (first[target],) if target in first else None
+                assert first_solution([a], target, field) == expected, (a, target)
+
+    @pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=["GF2", "GF3", "GF4"])
+    def test_first_unrepresentable_is_first_miss(self, field):
+        for a in field.elements():
+            squares = build_square_set(field, a)
+            expected = next(m for m in all_matrices(field) if m not in squares)
+            assert first_unrepresentable([a], field) == expected, a
+
+    def test_zero_coefficient_set_needs_no_squaring(self, square_calls):
+        squares = build_square_set(GF16, 0)
+        assert dict(squares.first_preimage) == {Mat2.zero(GF16): Mat2.zero(GF16)}
+        assert square_calls == []
+
+    # X is the first matrix with X^2 == target; it is matrix number `squared`
+    @pytest.mark.parametrize(
+        "target, x, squared",
+        [
+            (Mat2.zero(GF16), Mat2.zero(GF16), 1),
+            (Mat2.identity(GF16), Mat2.of(GF16, [[0, 1], [1, 0]]), 16**2 + 16 + 1),
+        ],
+        ids=["zero", "identity"],
+    )
+    def test_representable_query_stops_at_first_preimage(self, square_calls, target, x, squared):
+        assert first_solution([1], target, GF16) == (x,)
+        assert len(square_calls) == squared  # not the 65,536 of a full square set
+
+    def test_target_over_another_field(self):
+        with pytest.raises(FieldMismatchError):
+            first_solution([1], Mat2.zero(GF5), GF3)
+        with pytest.raises(FieldMismatchError):
+            first_solution([1, 1], Mat2.zero(GF5), GF3)
+
+    def test_sweep_bound_is_named(self):
+        with pytest.raises(FieldTooLargeError, match="above the sweep bound 5"):
+            check_universal_exhaustive(1, 1, PrimeField(7))
+        with pytest.raises(FieldTooLargeError, match="above the sweep bound 5"):
+            first_unrepresentable([1], PrimeField(7))

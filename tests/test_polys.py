@@ -46,10 +46,11 @@ def test_ext_gcd_matches_gf_gcdex(p):
     rng = random.Random(p)
     for _ in range(300):
         a, b = rand_poly(rng, p), rand_poly(rng, p)
-        g, s, t = polys.ext_gcd(a, b, p)
-        assert polys.add(polys.mul(s, a, p), polys.mul(t, b, p), p) == g
-        sym_s, sym_t, sym_g = gt.gf_gcdex(to_sym(a), to_sym(b), p, ZZ)
-        assert (g, s, t) == (from_sym(sym_g), from_sym(sym_s), from_sym(sym_t)), (a, b)
+        g, s = polys.ext_gcd(a, b, p)
+        residue = polys.sub(polys.mul(s, a, p), g, p)  # s*a - g, a multiple of b
+        assert (polys.mod(residue, b, p) if b else residue) == ()
+        sym_s, _, sym_g = gt.gf_gcdex(to_sym(a), to_sym(b), p, ZZ)
+        assert (g, s) == (from_sym(sym_g), from_sym(sym_s)), (a, b)
 
 
 @pytest.mark.parametrize("p", PRIMES)
