@@ -6,10 +6,14 @@ so that equality of payloads is equality in the field:
   Rationals               reduced fractions (fractions.Fraction payloads)
   PrimeField(p)           residues in [0, p)
   ExtensionField(p, k)    polynomials of degree < k modulo a monic
-                          irreducible modulus, as ascending coefficient
-                          tuples over GF(p)
+                          irreducible modulus: for p = 2 packed into one
+                          int, bit i the coefficient of t^i (see gf2x);
+                          for odd p ascending coefficient tuples over
+                          GF(p) (see polys)
   RationalFunctionField2  quotients of GF(2)[x] polynomials in lowest
                           terms, packed into int pairs (see gf2x)
+
+So every characteristic-2 payload is built from gf2x's packed ints.
 
 Field objects are lightweight descriptors that double as element
 factories: ``GF5 = PrimeField(5); a = GF5(3)``.  Elements are immutable,
@@ -33,6 +37,7 @@ of a field is one object and field equality is identity.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import threading
 import weakref
@@ -398,10 +403,10 @@ class Field:
         Tonelli-Shanks, and the smaller payload of the pair +/-r is
         returned.
         """
-        q = self.order
+        q, mul, pow_ = self.order, self._mul, self._pow
         if self.characteristic == 2:
             for _ in range(q.bit_length() - 2):
-                a = self._mul(a, a)
+                a = mul(a, a)
             return a
         if self._is_zero(a):
             return a
@@ -410,26 +415,26 @@ class Field:
         while m % 2 == 0:
             m, s = m // 2, s + 1
         # Euler's criterion: a**((q-1)/2) == t**(2**(s-1)) must be 1
-        t = euler = self._pow(a, m)
+        t = euler = pow_(a, m)
         for _ in range(s - 1):
-            euler = self._mul(euler, euler)
+            euler = mul(euler, euler)
         if euler != one:
             raise NotASquareError(FieldElement(self, a))
-        r = self._pow(a, (m + 1) // 2)
+        r = pow_(a, (m + 1) // 2)
         if t != one:
             # a non-residue, from the top index down: the low indices are
             # GF(p), all squares when the extension degree is even
             candidates = map(self._payload_from_index, range(q - 1, 1, -1))
-            z = next(c for c in candidates if self._pow(c, (q - 1) // 2) != one)
-            c = self._pow(z, m)
+            z = next(c for c in candidates if pow_(c, (q - 1) // 2) != one)
+            c = pow_(z, m)
             while t != one:
                 i, t2 = 0, t
                 while t2 != one:
-                    t2 = self._mul(t2, t2)
+                    t2 = mul(t2, t2)
                     i += 1
-                b = self._pow(c, 1 << (s - i - 1))
-                s, c = i, self._mul(b, b)
-                t, r = self._mul(t, c), self._mul(r, b)
+                b = pow_(c, 1 << (s - i - 1))
+                s, c = i, mul(b, b)
+                t, r = mul(t, c), mul(r, b)
         return min(r, self._neg(r))
 
 
@@ -545,11 +550,17 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """GF(p^k) as polynomials modulo a monic irreducible of degree k.
 
-    Payloads are ascending coefficient tuples of degree < k.  A default
-    modulus is supplied for the small fields used throughout the tests;
-    elsewhere one must be given (as an ascending tuple or as text in t).
-    Irreducibility is verified, which bounds supported fields to degree
-    at most 8 over p at most 97.
+    For p = 2 a payload is an int below 2^k, bit i the coefficient of
+    t^i, which is also its index in ``elements()``; add and sub are xor,
+    and mul and inv run through gf2x.  For odd p it is an ascending
+    coefficient tuple over GF(p) of degree < k, run through polys.
+    ``_build`` binds one set of hooks per descriptor, so no operation
+    tests p.  ``modulus`` is the ascending tuple for every p.
+
+    A default modulus is supplied for the small fields used throughout
+    the tests; elsewhere one must be given (as an ascending tuple or as
+    text in t).  Irreducibility is verified, which bounds supported
+    fields to degree at most 8 over p at most 97.
     """
 
     @staticmethod
@@ -581,18 +592,27 @@ class ExtensionField(Field):
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
         if not polys.is_irreducible(modulus, p):
-            raise ValueError(f"modulus {self._render(modulus)} is reducible over GF({p})")
+            raise ValueError(f"modulus {_render_poly(modulus, 't')} is reducible over GF({p})")
         self.p = p
         self.k = k
         self.characteristic = p
         self.order = p**k
         self.modulus = modulus
+        if p == 2:
+            m = sum(c << i for i, c in enumerate(modulus))
+            self._from_int = (1).__and__  # n mod 2
+            self._add = self._sub = operator.xor
+            self._neg = self._payload_from_index = _same
+            self._mul = lambda a, b: gf2x.mulmod(a, b, m)
+            self._inv = lambda a: gf2x.inv_mod(a, m)
+            self._parse_payload = lambda s: gf2x.divmod_(_parse_poly_bits(s, "t"), m)[1]
+            self._render = lambda a: _render_bits(a, "t")
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
 
     def __str__(self):
-        return f"GF({self.p}^{self.k});modulus={self._render(self.modulus)}"
+        return f"GF({self.p}^{self.k});modulus={_render_poly(self.modulus, 't')}"
 
     def _from_int(self, n):
         return polys.normalize((n,), self.p)
@@ -624,6 +644,10 @@ class ExtensionField(Field):
 
     def _render(self, a):
         return _render_poly(a, "t")
+
+
+def _same(a):
+    return a
 
 
 def _parse_dense(s: str, p: int) -> tuple:
@@ -716,29 +740,20 @@ class RationalFunctionField2(Field):
         if slash == -1:
             if depth != 0:
                 raise ParseError("unbalanced '('", s, len(s) - 1)
-            return self._reduce(self._parse_poly_bits(_strip_parens(s)), 1)
+            return self._reduce(_parse_poly_bits(_strip_parens(s), "x"), 1)
         num_text = _strip_parens(s[:slash])
         den_text = _strip_parens(s[slash + 1 :])
-        den = self._parse_poly_bits(den_text)
+        den = _parse_poly_bits(den_text, "x")
         if den == 0:
             raise ParseError("zero denominator", s, slash + 1)
-        return self._reduce(self._parse_poly_bits(num_text), den)
-
-    @staticmethod
-    def _parse_poly_bits(s: str) -> int:
-        coeffs = _parse_poly_text(s, "x")
-        bits = 0
-        for e, c in coeffs.items():
-            if c % 2:
-                bits |= 1 << e
-        return bits
+        return self._reduce(_parse_poly_bits(num_text, "x"), den)
 
     def _render(self, a):
         num, den = a
-        num_text = _render_bits(num)
+        num_text = _render_bits(num, "x")
         if den == 1:
             return num_text
-        return f"({num_text})/({_render_bits(den)})"
+        return f"({num_text})/({_render_bits(den, 'x')})"
 
     def random_element(self, rng) -> FieldElement:
         num = rng.randrange(32)  # numerator and denominator of degree <= 4
@@ -767,8 +782,17 @@ def _strip_parens(s: str) -> str:
     return s
 
 
-def _render_bits(bits: int) -> str:
-    return _render_poly([(bits >> e) & 1 for e in range(bits.bit_length())], "x")
+def _parse_poly_bits(s: str, var: str) -> int:
+    """Parse whitespace-free text in ``var`` as a packed GF(2)[var] polynomial."""
+    bits = 0
+    for e, c in _parse_poly_text(s, var).items():
+        if c % 2:
+            bits |= 1 << e
+    return bits
+
+
+def _render_bits(bits: int, var: str) -> str:
+    return _render_poly([(bits >> e) & 1 for e in range(bits.bit_length())], var)
 
 
 _FIELD_RE = re.compile(r"^GF\(([0-9]+)(?:\^([0-9]+))?\)(?:;modulus=(.+))?$")

@@ -100,6 +100,8 @@ class Mat2:
 
     def scale(self, c) -> Mat2:
         c = self.field(c)
+        if c == 1:
+            return self
         return Mat2(c * self.e11, c * self.e12, c * self.e21, c * self.e22)
 
     def square(self) -> Mat2:

@@ -681,3 +681,100 @@ class TestParseAndBoundErrors:
         for p in (2, 5):
             for constant in ((), (1,), (p - 1,)):
                 assert not polys.is_irreducible(constant, p)
+
+
+def _coeffs(bits):
+    """Packed GF(2)[t] as the ascending coefficient tuple polys takes."""
+    return tuple((bits >> i) & 1 for i in range(bits.bit_length()))
+
+
+class TestPackedBinaryExtension:
+    """GF(2^k) payloads are packed ints; each operation is checked against
+    the coefficient-tuple arithmetic of polys as the reference."""
+
+    FIELDS = [
+        GF4,
+        GF8,
+        ExtensionField(2, 3, "t^3+t^2+1"),
+        ExtensionField(2, 4),
+        ExtensionField(2, 5),
+        ExtensionField(2, 6, "t^6+t+1"),
+        ExtensionField(2, 7, "t^7+t^3+1"),
+        field_from_string("GF(2^8);modulus=t^8+t^4+t^3+t+1"),
+    ]
+
+    @staticmethod
+    def operands(field):
+        """Every pair for q <= 16, else 2000 seeded pairs."""
+        q = field.order
+        if q <= 16:
+            return [(a, b) for a in range(q) for b in range(q)]
+        rng = random.Random(q)
+        return [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_matches_tuple_reference(self, field):
+        m, q = field.modulus, field.order
+        elements = list(field.elements())
+        for a, b in self.operands(field):
+            x, y = elements[a], elements[b]
+            ta, tb = _coeffs(a), _coeffs(b)
+            assert _coeffs((x + y).payload) == polys.add(ta, tb, 2)
+            assert _coeffs((x - y).payload) == polys.sub(ta, tb, 2)
+            assert _coeffs((x * y).payload) == polys.mod(polys.mul(ta, tb, 2), m, 2)
+            assert _coeffs((x**b).payload) == polys.pow_mod(ta, b, m, 2)
+            if b:
+                assert _coeffs((x / y).payload) == polys.mod(
+                    polys.mul(ta, polys.inv_mod(tb, m, 2), 2), m, 2
+                )
+        for a in {a for a, _ in self.operands(field)}:
+            x, ta = elements[a], _coeffs(a)
+            assert _coeffs((-x).payload) == ta
+            assert _coeffs(x.frobenius().payload) == polys.pow_mod(ta, 2, m, 2)
+            assert _coeffs(x.sqrt().payload) == polys.pow_mod(ta, q // 2, m, 2)
+            if a:
+                assert _coeffs(x.inv().payload) == polys.inv_mod(ta, m, 2)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_payload_is_element_index(self, field):
+        assert [e.payload for e in field.elements()] == list(range(field.order))
+        rng = random.Random(1)
+        assert field.random_element(rng).payload == random.Random(1).randrange(field.order)
+
+    @pytest.mark.parametrize(
+        "field, text, expected",
+        [
+            (GF8, "t^9", "t^2"),  # t^7 = 1
+            (GF8, "3*t", "t"),
+            (GF8, "-t", "t"),
+            (GF8, "t+t", "0"),
+            (GF8, "-1", "1"),
+            (ExtensionField(2, 3, "t^3+t^2+1"), "t^3", "t^2+1"),
+            (ExtensionField(2, 4), "t^9", "t^3+t"),
+            (GF4, "2*t^2+5", "1"),
+        ],
+    )
+    def test_unreduced_input(self, field, text, expected):
+        assert str(field.parse(text)) == expected
+        assert field.parse(text) == field.parse(expected)
+
+    def test_int_coercion(self):
+        assert GF8(3) == GF8(1) == GF8.one() and GF8(-2) == GF8.zero()
+        assert GF8.parse("t") + 1 == GF8.parse("t+1")
+
+    def test_pickle_round_trip(self):
+        for field in self.FIELDS:
+            a = field.parse("t+1")
+            b = pickle.loads(pickle.dumps(a))
+            assert b == a and b.field is field and b.payload == 0b11
+            assert copy.deepcopy(a) == a
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda: GF8.parse("t") / GF8.zero(), lambda: GF8.zero().inv(),
+         lambda: 1 / GF8.zero(), lambda: GF8.zero() ** -1],
+        ids=["div", "inv", "rdiv", "negative-pow"],
+    )
+    def test_zero_division(self, op):
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            op()

@@ -236,3 +236,10 @@ class TestProtocol:
         assert str(form) == "1,2"
         assert repr(form) == "DiagonalForm(GF(5), [1,2])"
         assert repr(DiagonalForm(GF9, ["t", 1])) == "DiagonalForm(GF(3^2), [t,1])"
+
+    def test_scale_by_one_is_the_matrix_itself(self):
+        for field in (Q, GF5, GF4, GF9):
+            m = Mat2.of(field, [[1, 2], [0, 1]])
+            assert m.scale(1) is m and m.scale(field.one()) is m and 1 * m is m
+        with pytest.raises(FieldMismatchError):
+            Mat2.identity(GF5).scale(GF3(1))
