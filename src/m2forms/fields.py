@@ -8,8 +8,10 @@ so that equality of payloads is equality in the field:
   ExtensionField(p, k)    polynomials of degree < k modulo a monic
                           irreducible modulus: for p = 2 packed into one
                           int, bit i the coefficient of t^i (see gf2x);
-                          for odd p ascending coefficient tuples over
-                          GF(p) (see polys)
+                          for odd p and q <= 25 an int read in base p,
+                          c0 the most significant digit, run on log/
+                          antilog (Zech) tables; above that ascending
+                          coefficient tuples over GF(p) (see polys)
   RationalFunctionField2  quotients of GF(2)[x] polynomials in lowest
                           terms, packed into int pairs (see gf2x)
 
@@ -58,6 +60,14 @@ _MAX_EXPONENT = 4096  # guardrail for parsed polynomial exponents
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _PRIME_BOUND = 2**64
+
+# Odd-p extension fields up to this order run on Zech tables.  The tables
+# pay only when many operations share one build, as in the oracle's GF(9)
+# square sets or repeated decompositions: building GF(25)'s costs 0.1-0.25
+# ms more than a tuple-path field, a little less than one decompose saves,
+# and the cost grows with q.  25 is the largest order a benchmark workload
+# runs on.
+_TABLE_MAX_ORDER = 25
 
 # (class, key) -> descriptor, while it or one of its elements is alive
 _FIELDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -552,10 +562,14 @@ class ExtensionField(Field):
 
     For p = 2 a payload is an int below 2^k, bit i the coefficient of
     t^i, which is also its index in ``elements()``; add and sub are xor,
-    and mul and inv run through gf2x.  For odd p it is an ascending
-    coefficient tuple over GF(p) of degree < k, run through polys.
-    ``_build`` binds one set of hooks per descriptor, so no operation
-    tests p.  ``modulus`` is the ascending tuple for every p.
+    and mul and inv run through gf2x.  For odd p and q <= 25 it is the
+    int sum(c_i * p**(k-1-i)), c0 the most significant digit and not the
+    ``elements()`` index, and every operation is a lookup in log/antilog
+    (Zech) tables (see ``_bind_tables``).  Above q = 25 it is an
+    ascending coefficient tuple over GF(p) of degree < k, run through
+    polys.  ``_build`` binds one set of hooks per descriptor, so no
+    operation tests p or q.  ``modulus`` is the ascending tuple for
+    every p.
 
     A default modulus is supplied for the small fields used throughout
     the tests; elsewhere one must be given (as an ascending tuple or as
@@ -607,6 +621,79 @@ class ExtensionField(Field):
             self._inv = lambda a: gf2x.inv_mod(a, m)
             self._parse_payload = lambda s: gf2x.divmod_(_parse_poly_bits(s, "t"), m)[1]
             self._render = lambda a: _render_bits(a, "t")
+        elif self.order <= _TABLE_MAX_ORDER:
+            self._bind_tables()
+
+    def _bind_tables(self):
+        """Bind log/antilog (Zech) hooks on int payloads, for odd p and q <= 25.
+
+        A payload is sum(c_i * p**(k-1-i)), c0 the most significant digit:
+        the rank of the element's ascending coefficient tuple among all q
+        of them, so int order is tuple order and ``_sqrt``'s ``min(r, -r)``
+        keeps the root the tuples gave.  With g a generator of the
+        multiplicative group: exp[n] = g**n over 2(q-1) entries, so a sum
+        of two logs needs no modulo; log inverts it (log[0] is None);
+        zech[n] = log(1 + g**n), None where 1 + g**n = 0, repeated twice so
+        that any difference of logs, shifted by (q-1)/2 for a subtraction,
+        indexes it.  Then a + b = g**(log a + zech[log b - log a]).
+        """
+        p, k, m, q = self.p, self.k, self.modulus, self.order
+        q1, half = q - 1, (q - 1) // 2
+        weights = [p ** (k - 1 - i) for i in range(k)]  # payload weight of c_i
+        one = weights[0]
+        by_index = [0]  # payload of the element with each elements() index
+        for w in weights:
+            by_index = [x + c * w for c in range(p) for x in by_index]
+        for i in range(p, q):  # from t on: the constants have order dividing p - 1
+            g = ExtensionField._payload_from_index(self, i)
+            exp, v = [], (1,)
+            while True:  # g**0, g**1, ... until g**n is 1 again, so n is the order of g
+                exp.append(sum(map(operator.mul, v, weights)))
+                v = polys.mod(polys.mul(v, g, p), m, p)
+                if v == (1,):
+                    break
+            if len(exp) == q1:
+                break
+        exp += exp
+        log = [None] * q
+        for n in range(q1):
+            log[exp[n]] = n
+        zech = [log[(exp[n] + one) % q] for n in range(q1)] * 2  # adding 1 adds 1 to c0
+
+        def add(a, b):
+            if not a or not b:
+                return a or b
+            la = log[a]
+            z = zech[log[b] - la]
+            return 0 if z is None else exp[la + z]
+
+        def sub(a, b):
+            if not b:
+                return a
+            if not a:
+                return exp[log[b] + half]
+            la = log[a]
+            z = zech[log[b] + half - la]
+            return 0 if z is None else exp[la + z]
+
+        def div(a, b):
+            if not b:
+                raise ZeroDivisionError("division by zero")
+            return exp[log[a] - log[b] + q1] if a else 0
+
+        def pow_(a, e):
+            if a:
+                return exp[log[a] * e % q1]
+            return 0 if e else one
+
+        self._from_int = lambda n: n % p * one
+        self._add, self._sub, self._div, self._pow = add, sub, div, pow_
+        self._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+        self._neg = lambda a: exp[log[a] + half] if a else 0
+        self._inv = lambda a: exp[q1 - log[a]]
+        self._payload_from_index = by_index.__getitem__
+        self._parse_payload = lambda s: sum(map(operator.mul, polys.mod(_parse_dense(s, p), m, p), weights))
+        self._render = lambda a: _render_poly([a // w % p for w in weights], "t")
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"

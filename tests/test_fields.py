@@ -29,7 +29,7 @@ from m2forms import (
     is_prime,
     polys,
 )
-from m2forms.fields import _FIELDS, _prime_power
+from m2forms.fields import _FIELDS, _prime_power, _render_poly
 
 Q = Rationals()
 GF2 = PrimeField(2)
@@ -778,3 +778,101 @@ class TestPackedBinaryExtension:
     def test_zero_division(self, op):
         with pytest.raises(ZeroDivisionError, match="^division by zero$"):
             op()
+
+
+def _odd_coeffs(field, payload):
+    """A GF(p^k) payload as the ascending coefficient tuple polys takes:
+    tuple payloads as they are, int payloads read in base p with c0 the
+    most significant digit."""
+    if isinstance(payload, tuple):
+        return payload
+    p, k = field.p, field.k
+    return polys.normalize([payload // p ** (k - 1 - i) % p for i in range(k)], p)
+
+
+def _index_coeffs(field, idx):
+    """The ascending tuple of the element with index idx: c_i is its i-th
+    base-p digit, least significant first."""
+    return polys.normalize([idx // field.p**i % field.p for i in range(field.k)], field.p)
+
+
+GF27 = ExtensionField(3, 3)  # q = 27, the first order above the table bound
+
+
+class TestPackedOddExtension:
+    """Odd-characteristic GF(p^k) with q <= 25 runs on log/antilog (Zech)
+    tables over int payloads; each operation is checked against the
+    coefficient-tuple arithmetic of polys as the reference."""
+
+    FIELDS = [
+        GF9,  # t^2+1: t has order 4, so the generator search rejects it
+        ExtensionField(3, 2, "t^2+t+2"),  # t generates
+        ExtensionField(5, 2),  # t^2+t+1: t has order 3
+        ExtensionField(5, 2, "t^2+3"),
+    ]
+
+    @pytest.mark.parametrize("field", FIELDS + [GF27], ids=str)
+    def test_matches_tuple_reference(self, field):
+        p, m, q = field.p, field.modulus, field.order
+        elements = list(field.elements())
+
+        def coeffs(x):
+            return _odd_coeffs(field, x.payload)
+
+        def mulmod(a, b):
+            return polys.mod(polys.mul(a, b, p), m, p)
+
+        for a in range(q):
+            x, ta = elements[a], _index_coeffs(field, a)
+            for b in range(q):
+                y, tb = elements[b], _index_coeffs(field, b)
+                assert coeffs(x + y) == polys.add(ta, tb, p)
+                assert coeffs(x - y) == polys.sub(ta, tb, p)
+                assert coeffs(x * y) == mulmod(ta, tb)
+                assert coeffs(x**b) == polys.pow_mod(ta, b, m, p)
+                if b:
+                    assert coeffs(x / y) == mulmod(ta, polys.inv_mod(tb, m, p))
+            assert coeffs(-x) == polys.neg(ta, p)
+            assert coeffs(x.frobenius()) == polys.pow_mod(ta, p, m, p)
+            if not a:
+                assert x.sqrt() == x
+                continue
+            assert coeffs(x.inv()) == polys.inv_mod(ta, m, p)
+            if polys.pow_mod(ta, (q - 1) // 2, m, p) != (1,):  # Euler: a non-square
+                with pytest.raises(NotASquareError):
+                    x.sqrt()
+                continue
+            r = coeffs(x.sqrt())
+            assert mulmod(r, r) == ta and r < polys.neg(r, p)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_payload_is_an_int_in_tuple_order(self, field):
+        q = field.order
+        assert [_odd_coeffs(field, e.payload) for e in field.elements()] == [
+            _index_coeffs(field, i) for i in range(q)
+        ]
+        assert all(isinstance(e.payload, int) for e in field.elements())
+        by_payload = [_odd_coeffs(field, n) for n in range(q)]
+        assert by_payload == sorted(by_payload)
+        assert field.one().payload == field.p ** (field.k - 1)  # c0 = 1: not the index 1
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_render_order_unchanged(self, field):
+        texts = [str(e) for e in field.elements()]
+        expected = [_render_poly(_index_coeffs(field, i), "t") for i in range(field.order)]
+        assert texts == expected
+        assert all(field.parse(text) == e for text, e in zip(texts, field.elements()))
+
+    def test_boundary_keeps_tuple_payloads(self):
+        assert GF27.parse("t+1").payload == (1, 1)
+
+    def test_pickle_round_trip(self):
+        for field in self.FIELDS:
+            a = field.parse("t+1")
+            b = pickle.loads(pickle.dumps(a))
+            assert b == a and b.field is field and b.payload == field.p + 1
+            assert copy.deepcopy(a) == a
+
+    def test_gf9_root_of_t(self):
+        # the root whose ascending coefficient tuple is the smaller of +/-r
+        assert str(GF9.parse("t").sqrt()) == "2*t+1"
