@@ -9,8 +9,8 @@ so that equality of payloads is equality in the field:
                           irreducible modulus: for p = 2 packed into one
                           int, bit i the coefficient of t^i (see gf2x);
                           for odd p and q <= 25 an int read in base p,
-                          c0 the most significant digit, run on log/
-                          antilog (Zech) tables; above that ascending
+                          c0 the most significant digit, run on sum and
+                          log/antilog tables; above that ascending
                           coefficient tuples over GF(p) (see polys)
   RationalFunctionField2  quotients of GF(2)[x] polynomials in lowest
                           terms, packed into int pairs (see gf2x)
@@ -61,12 +61,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _PRIME_BOUND = 2**64
 
-# Odd-p extension fields up to this order run on Zech tables.  The tables
-# pay only when many operations share one build, as in the oracle's GF(9)
-# square sets or repeated decompositions: building GF(25)'s costs 0.1-0.25
-# ms more than a tuple-path field, a little less than one decompose saves,
-# and the cost grows with q.  25 is the largest order a benchmark workload
-# runs on.
+# Odd-p extension fields up to this order run on tables.  The tables pay
+# only when many operations share one build, as in the oracle's GF(9)
+# square sets or repeated decompositions: building GF(25)'s, a 625-entry
+# sum table among them, costs 0.4-0.5 ms more than a tuple-path field
+# (GF(9)'s 0.1 ms), what two decompositions save, and the cost grows with
+# q^2.  25 is the largest order a benchmark workload runs on.
 _TABLE_MAX_ORDER = 25
 
 # (class, key) -> descriptor, while it or one of its elements is alive
@@ -564,8 +564,9 @@ class ExtensionField(Field):
     t^i, which is also its index in ``elements()``; add and sub are xor,
     and mul and inv run through gf2x.  For odd p and q <= 25 it is the
     int sum(c_i * p**(k-1-i)), c0 the most significant digit and not the
-    ``elements()`` index, and every operation is a lookup in log/antilog
-    (Zech) tables (see ``_bind_tables``).  Above q = 25 it is an
+    ``elements()`` index; add, sub and neg are lookups in sum and negation
+    tables, mul and inv in log/antilog tables (see ``_bind_tables``), and
+    div and pow are ``Field``'s over those.  Above q = 25 it is an
     ascending coefficient tuple over GF(p) of degree < k, run through
     polys.  ``_build`` binds one set of hooks per descriptor, so no
     operation tests p or q.  ``modulus`` is the ascending tuple for
@@ -625,20 +626,20 @@ class ExtensionField(Field):
             self._bind_tables()
 
     def _bind_tables(self):
-        """Bind log/antilog (Zech) hooks on int payloads, for odd p and q <= 25.
+        """Bind table hooks on int payloads, for odd p and q <= 25.
 
         A payload is sum(c_i * p**(k-1-i)), c0 the most significant digit:
         the rank of the element's ascending coefficient tuple among all q
         of them, so int order is tuple order and ``_sqrt``'s ``min(r, -r)``
-        keeps the root the tuples gave.  With g a generator of the
-        multiplicative group: exp[n] = g**n over 2(q-1) entries, so a sum
-        of two logs needs no modulo; log inverts it (log[0] is None);
-        zech[n] = log(1 + g**n), None where 1 + g**n = 0, repeated twice so
-        that any difference of logs, shifted by (q-1)/2 for a subtraction,
-        indexes it.  Then a + b = g**(log a + zech[log b - log a]).
+        keeps the root the tuples gave.  Addition is digit-wise mod p, so
+        plus[a][b] = a + b and minus[a] = -a are tables read off the digits.
+        With g a generator of the multiplicative group: exp[n] = g**n over
+        2(q-1) entries, so a sum of two logs needs no modulo, and log
+        inverts it (log[0] is None).  Division and powers are ``Field``'s
+        ``_div`` and ``_pow`` over these hooks.
         """
         p, k, m, q = self.p, self.k, self.modulus, self.order
-        q1, half = q - 1, (q - 1) // 2
+        q1 = q - 1
         weights = [p ** (k - 1 - i) for i in range(k)]  # payload weight of c_i
         one = weights[0]
         by_index = [0]  # payload of the element with each elements() index
@@ -658,38 +659,14 @@ class ExtensionField(Field):
         log = [None] * q
         for n in range(q1):
             log[exp[n]] = n
-        zech = [log[(exp[n] + one) % q] for n in range(q1)] * 2  # adding 1 adds 1 to c0
-
-        def add(a, b):
-            if not a or not b:
-                return a or b
-            la = log[a]
-            z = zech[log[b] - la]
-            return 0 if z is None else exp[la + z]
-
-        def sub(a, b):
-            if not b:
-                return a
-            if not a:
-                return exp[log[b] + half]
-            la = log[a]
-            z = zech[log[b] + half - la]
-            return 0 if z is None else exp[la + z]
-
-        def div(a, b):
-            if not b:
-                raise ZeroDivisionError("division by zero")
-            return exp[log[a] - log[b] + q1] if a else 0
-
-        def pow_(a, e):
-            if a:
-                return exp[log[a] * e % q1]
-            return 0 if e else one
+        plus = [[sum((a // w + b // w) % p * w for w in weights) for b in range(q)] for a in range(q)]
+        minus = [row.index(0) for row in plus]  # -a is the b with a + b = 0
 
         self._from_int = lambda n: n % p * one
-        self._add, self._sub, self._div, self._pow = add, sub, div, pow_
+        self._add = lambda a, b: plus[a][b]
+        self._sub = lambda a, b: plus[a][minus[b]]
+        self._neg = minus.__getitem__
         self._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
-        self._neg = lambda a: exp[log[a] + half] if a else 0
         self._inv = lambda a: exp[q1 - log[a]]
         self._payload_from_index = by_index.__getitem__
         self._parse_payload = lambda s: sum(map(operator.mul, polys.mod(_parse_dense(s, p), m, p), weights))

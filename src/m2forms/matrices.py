@@ -93,10 +93,7 @@ class Mat2:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (FieldElement, int)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scale(self, c) -> Mat2:
         c = self.field(c)

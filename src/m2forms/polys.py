@@ -27,10 +27,7 @@ def add(a, b, p):
 
 
 def sub(a, b, p):
-    n = max(len(a), len(b))
-    return normalize(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)], p
-    )
+    return add(a, neg(b, p), p)
 
 
 def neg(a, p):

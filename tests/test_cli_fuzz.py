@@ -1,0 +1,103 @@
+"""Seeded argv fuzz of the CLI: every request ends in a documented exit code.
+
+About a thousand argvs mix all six commands, well-formed and malformed
+field descriptors, coefficient lists and matrices, with and without
+--json.  Each must return (or, for argparse usage errors, exit with) 0,
+2, 3 or 4, let no exception escape ``cli.main`` and print no traceback.
+"""
+
+import random
+import time
+
+from m2forms.cli import main
+
+SEED = 20201
+RUNS = 1000
+BUDGET_S = 3.0
+EXIT_CODES = {0, 2, 3, 4}
+
+COMMANDS = ("decompose", "verify", "universal", "universal-z", "oracle", "counterexample")
+RATIONAL = ("0", "1", "-1", "2", "+3", "1/2", "-7/3")
+RESIDUE = ("0", "1", "-1", "2", "+3", "12")
+POLY_T = ("0", "1", "2", "t", "t+1", "2*t+1", "t^2", "-t")
+POLY_X = ("0", "1", "x", "x+1", "x^2+x", "(x)/(x+1)", "1/x")
+MALFORMED = (
+    "", "1/0", "t^", "*t", "+", "--1", "1_0", "٣", "(x", "x)", "t^99999", "9" * 5000,
+    "[1]", "y", "1/2/3",
+)
+# descriptor -> the entries its grammar accepts
+FIELDS = {
+    "Q": RATIONAL, "GF(2)": RESIDUE, "GF(3)": RESIDUE, "GF(5)": RESIDUE, "GF(7)": RESIDUE,
+    "GF(4)": POLY_T, "GF(8)": POLY_T, "GF(9)": POLY_T, "GF(27)": POLY_T, "F2(X)": POLY_X,
+}
+BAD_FIELDS = (
+    "", "GF(6)", "GF(1)", "GF(0)", "GF(9", "gf(7)", "GF(2^0)", "GF(3^9)", "GF(2^64)",
+    "GF(9);modulus=t^2+2", "GF(9);modulus=t^3+1", "GF(7);modulus=t+1", "F2(Y)", "R",
+    "GF(" + "9" * 40 + ")",
+)
+BAD_MATRICES = ("", "[[1,2],[3]]", "[[1,2],[3,4]]]", "[1,2,3,4]", "[[,],[,]]", "[[1,2][3,4]]")
+
+
+def _entry(rng, entries):
+    return rng.choice(MALFORMED if rng.random() < 0.03 else entries)
+
+
+def _coeffs(rng, entries):
+    if rng.random() < 0.05:
+        return rng.choice(("", ",", "1,,2", " , ", "1,2,"))
+    count = rng.choice((0, 1, 1, 2, 2, 2, 3, 3))
+    return ",".join(_entry(rng, entries) for _ in range(count))
+
+
+def _matrix(rng, entries):
+    if rng.random() < 0.05:
+        return rng.choice(BAD_MATRICES)
+    return "[[{},{}],[{},{}]]".format(*(_entry(rng, entries) for _ in range(4)))
+
+
+def _argv(rng):
+    command = rng.choice(COMMANDS)
+    argv = [command]
+    if rng.random() < 0.1:
+        field = rng.choice(BAD_FIELDS)
+        entries = rng.choice(tuple(FIELDS.values()))
+    else:
+        field = rng.choice(tuple(FIELDS))
+        entries = RESIDUE if command == "universal-z" else FIELDS[field]
+    if command not in ("universal-z", "counterexample") or rng.random() < 0.1:
+        argv += ["--field", field]
+    if command != "counterexample" or rng.random() < 0.1:
+        argv += ["--coeffs", _coeffs(rng, entries)]
+    # an oracle target over GF(8) or GF(9) enumerates q^4 matrices, about
+    # 0.1 s each, so few oracle requests carry one: the run stays in budget
+    if command in ("decompose", "verify") or (command == "oracle" and rng.random() < 0.3):
+        argv += ["--target", _matrix(rng, entries)]
+    if command == "verify":
+        argv += ["--matrices", *(_matrix(rng, entries) for _ in range(rng.randint(0, 3)))]
+    if rng.random() < 0.5:
+        argv.append("--json")
+    if rng.random() < 0.05:  # drop a required option or add an unknown one
+        if len(argv) > 2 and rng.random() < 0.5:
+            del argv[1:3]
+        else:
+            argv.append("--bogus")
+    return argv
+
+
+def _run(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage errors exit 3
+        return exc.code
+
+
+def test_seeded_argv_fuzz(capsys):
+    rng = random.Random(SEED)
+    start = time.perf_counter()
+    for _ in range(RUNS):
+        argv = _argv(rng)
+        code = _run(argv)
+        err = capsys.readouterr().err
+        assert code in EXIT_CODES, argv
+        assert "Traceback" not in err, argv
+    assert time.perf_counter() - start < BUDGET_S

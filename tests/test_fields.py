@@ -800,7 +800,7 @@ GF27 = ExtensionField(3, 3)  # q = 27, the first order above the table bound
 
 
 class TestPackedOddExtension:
-    """Odd-characteristic GF(p^k) with q <= 25 runs on log/antilog (Zech)
+    """Odd-characteristic GF(p^k) with q <= 25 runs on sum and log/antilog
     tables over int payloads; each operation is checked against the
     coefficient-tuple arithmetic of polys as the reference."""
 
