@@ -21,6 +21,7 @@ accepts, so emitted output can be fed back in unchanged.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -58,6 +59,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="m2forms", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

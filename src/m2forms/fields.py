@@ -3,7 +3,7 @@
 Four families are provided, each with a unique canonical form per element
 so that equality of payloads is equality in the field:
 
-  Rationals               reduced fractions (fractions.Fraction payloads)
+  Rationals               reduced fractions n/d as int pairs (n, d), d > 0
   PrimeField(p)           residues in [0, p)
   ExtensionField(p, k)    polynomials of degree < k modulo a monic
                           irreducible modulus: for p = 2 packed into one
@@ -27,10 +27,10 @@ characteristic-2 solver reports via NotASquareError.
 Each family writes its own payload hooks.  ``Field`` supplies the shared
 ones once: ``_div`` and ``FieldElement.inv`` refuse zero (so no ``_inv``
 checks), ``_pow`` is square-and-multiply, ``_is_zero`` is ``not a``
-(every zero payload but F2(X)'s pair is falsy), ``_render`` is
-``str(a)``, and for the finite families ``elements``, ``random_element``
-and ``sqrt`` run over ``_payload_from_index``, which numbers the
-payloads 0..q-1 in canonical order.
+(every zero payload but the pairs of Q and F2(X) is falsy), ``_render``
+is ``str(a)``, and for the finite families ``elements``,
+``random_element`` and ``sqrt`` run over ``_payload_from_index``, which
+numbers the payloads 0..q-1 in canonical order.
 
 Descriptors are interned by class and normalized key, so every spelling
 of a field is one object and field equality is identity.
@@ -43,7 +43,6 @@ import operator
 import re
 import threading
 import weakref
-from fractions import Fraction
 
 from . import gf2x, polys
 from .errors import (
@@ -449,44 +448,75 @@ class Field:
 
 
 class Rationals(Field):
-    """The field of rational numbers with reduced-fraction payloads."""
+    """The field of rational numbers.
+
+    A payload is an int pair (n, d) in lowest terms with d > 0, so equal
+    rationals have equal payloads.  As in ``RationalFunctionField2`` no
+    gcd of full products is taken: ``_add`` cancels only against
+    gcd(d1, d2) (Knuth 4.5.1), and ``_mul``, hence ``_div`` and ``_pow``,
+    cross-cancels gcd(n1, d2) and gcd(n2, d1) first (Henrici).
+    """
 
     _RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
     def __repr__(self):
         return "Q"
 
+    @staticmethod
+    def _reduce(num: int, den: int):
+        g = math.gcd(num, den)
+        return (num // g, den // g)
+
     def _from_int(self, n):
-        return Fraction(n)
+        return (int(n), 1)  # int(): True is 1, and renders so
 
     def _from_other(self, value):
+        from fractions import Fraction  # only callers passing one pay its import
+
         if isinstance(value, Fraction):
-            return value
+            return (value.numerator, value.denominator)
         return super()._from_other(value)
 
     def _add(self, a, b):
-        return a + b
+        (n1, d1), (n2, d2) = a, b
+        g = math.gcd(d1, d2)
+        if g == 1:
+            return (n1 * d2 + n2 * d1, d1 * d2)
+        s = d1 // g
+        t = n1 * (d2 // g) + n2 * s
+        g = math.gcd(t, g)
+        return (t // g, s * (d2 // g))
 
     def _sub(self, a, b):
-        return a - b
+        return self._add(a, (-b[0], b[1]))
 
     def _mul(self, a, b):
-        return a * b
+        (n1, d1), (n2, d2) = a, b
+        g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+        return (n1 // g1 * (n2 // g2), d1 // g2 * (d2 // g1))
 
     def _neg(self, a):
-        return -a
+        return (-a[0], a[1])
 
     def _inv(self, a):
-        return 1 / a
+        n, d = a
+        return (d, n) if n > 0 else (-d, -n)
+
+    def _is_zero(self, a):
+        return a[0] == 0
+
+    def _render(self, a):
+        n, d = a
+        return str(n) if d == 1 else f"{n}/{d}"
 
     def _sqrt(self, a):
-        if a < 0:
+        n, d = a
+        if n < 0:
             raise NotASquareError(FieldElement(self, a))
-        num = _isqrt_exact(a.numerator)
-        den = _isqrt_exact(a.denominator)
+        num, den = _isqrt_exact(n), _isqrt_exact(d)
         if num is None or den is None:
             raise NotASquareError(FieldElement(self, a))
-        return Fraction(num, den)
+        return (num, den)
 
     def _parse_payload(self, s):
         if not self._RE.match(s):
@@ -495,12 +525,12 @@ class Rationals(Field):
         den = _parse_int(den_text, s, len(num) + 1) if slash else 1
         if den == 0:
             raise ParseError("zero denominator", s, len(num) + 1)
-        return Fraction(_parse_int(num, s, 0), den)
+        return self._reduce(_parse_int(num, s, 0), den)
 
     def random_element(self, rng) -> FieldElement:
         num = rng.randint(-(10**6), 10**6)
         den = rng.randint(1, 10**6)
-        return FieldElement(self, Fraction(num, den))
+        return FieldElement(self, self._reduce(num, den))
 
 
 def _isqrt_exact(n: int) -> int | None:

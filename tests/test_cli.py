@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from m2forms import Mat2, field_from_string
-from m2forms.cli import main
+from m2forms.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -404,6 +404,21 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 3
+
+    def test_parser_is_built_once_and_reused_unchanged(self, capsys):
+        assert build_parser() is build_parser()
+        usage_error = ["decompose", "--field", "Q", "--coeffs", "1,1"]  # no --target
+        outputs = []
+        for argv in (usage_error, ["decompose", "--field", "Q", "--coeffs", "1,1",
+                                   "--target", "[[1,2],[3,4]]", "--json"], usage_error):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[2]
+        assert outputs[0][0] == 3 and "the following arguments are required: --target" in outputs[0][2]
+        assert outputs[1][0] == 0 and json.loads(outputs[1][1])["matrices"]
 
     def test_module_invocation(self):
         result = subprocess.run(

@@ -67,7 +67,7 @@ class TestRationals:
         assert Q.parse("1/5") - Q.parse("-1") == Q.parse("6/5")
 
     def test_parse_canonical(self):
-        assert Q.parse("-27/25").payload.numerator == -27
+        assert Q.parse("-27/25").payload == (-27, 25)
         assert Q.parse("4/6") == Q.parse("2/3")
         assert str(Q.parse(" -2 / 4 ")) == "-1/2"
 

@@ -165,16 +165,26 @@ class TestErrorPickling:
             assert getattr(clone, name) == value
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
+def _modules_cli_import_loads(names):
+    """Which of ``names`` a fresh ``import m2forms.cli`` loads."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import m2forms.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        f"print(sorted({set(names)!r} & (set(sys.modules) - before)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    assert _modules_cli_import_loads({"dataclasses", "inspect"}) == "[]"
+
+
+def test_cli_import_skips_fractions_and_decimal():
+    # Q runs on int pairs; only Q(Fraction(...)) imports fractions
+    assert _modules_cli_import_loads({"fractions", "decimal"}) == "[]"
