@@ -7,15 +7,13 @@ so that equality of payloads is equality in the field:
   PrimeField(p)           residues in [0, p)
   ExtensionField(p, k)    polynomials of degree < k modulo a monic
                           irreducible modulus: for p = 2 packed into one
-                          int, bit i the coefficient of t^i (see gf2x);
-                          for odd p and q <= 25 an int read in base p,
-                          c0 the most significant digit, run on sum and
-                          log/antilog tables; above that ascending
-                          coefficient tuples over GF(p) (see polys)
+                          int, bit i the coefficient of t^i; for odd p
+                          and q <= 25 an int read in base p, c0 the most
+                          significant digit; both multiply on log/antilog
+                          tables; odd q > 25 are ascending coefficient
+                          tuples over GF(p) (see polys)
   RationalFunctionField2  quotients of GF(2)[x] polynomials in lowest
                           terms, packed into int pairs (see gf2x)
-
-So every characteristic-2 payload is built from gf2x's packed ints.
 
 Field objects are lightweight descriptors that double as element
 factories: ``GF5 = PrimeField(5); a = GF5(3)``.  Elements are immutable,
@@ -65,7 +63,9 @@ _PRIME_BOUND = 2**64
 # square sets or repeated decompositions: building GF(25)'s, a 625-entry
 # sum table among them, costs 0.4-0.5 ms more than a tuple-path field
 # (GF(9)'s 0.1 ms), what two decompositions save, and the cost grows with
-# q^2.  25 is the largest order a benchmark workload runs on.
+# q^2.  25 is the largest order a benchmark workload runs on.  p = 2 has
+# no cap: xor replaces the sum table, and its log tables hold at most 766
+# entries (GF(2^8)).
 _TABLE_MAX_ORDER = 25
 
 # (class, key) -> descriptor, while it or one of its elements is alive
@@ -591,16 +591,16 @@ class ExtensionField(Field):
     """GF(p^k) as polynomials modulo a monic irreducible of degree k.
 
     For p = 2 a payload is an int below 2^k, bit i the coefficient of
-    t^i, which is also its index in ``elements()``; add and sub are xor,
-    and mul and inv run through gf2x.  For odd p and q <= 25 it is the
-    int sum(c_i * p**(k-1-i)), c0 the most significant digit and not the
-    ``elements()`` index; add, sub and neg are lookups in sum and negation
-    tables, mul and inv in log/antilog tables (see ``_bind_tables``), and
-    div and pow are ``Field``'s over those.  Above q = 25 it is an
-    ascending coefficient tuple over GF(p) of degree < k, run through
-    polys.  ``_build`` binds one set of hooks per descriptor, so no
-    operation tests p or q.  ``modulus`` is the ascending tuple for
-    every p.
+    t^i, which is also its index in ``elements()``; add and sub are xor
+    and neg is the identity.  For odd p and q <= 25 it is the int
+    sum(c_i * p**(k-1-i)), c0 the most significant digit and not the
+    ``elements()`` index; add, sub and neg are lookups in sum and
+    negation tables (see ``_bind_tables``).  Both multiply and invert on
+    log/antilog tables (see ``_bind_logs``), and div, pow and sqrt are
+    ``Field``'s over those.  Odd q > 25 is an ascending coefficient tuple
+    over GF(p) of degree < k, run through polys.  ``_build`` binds one
+    set of hooks per descriptor, so no operation tests p or q.
+    ``modulus`` is the ascending tuple for every p.
 
     A default modulus is supplied for the small fields used throughout
     the tests; elsewhere one must be given (as an ascending tuple or as
@@ -648,10 +648,9 @@ class ExtensionField(Field):
             self._from_int = (1).__and__  # n mod 2
             self._add = self._sub = operator.xor
             self._neg = self._payload_from_index = _same
-            self._mul = lambda a, b: gf2x.mulmod(a, b, m)
-            self._inv = lambda a: gf2x.inv_mod(a, m)
             self._parse_payload = lambda s: gf2x.divmod_(_parse_poly_bits(s, "t"), m)[1]
             self._render = lambda a: _render_bits(a, "t")
+            self._bind_logs([1 << i for i in range(k)])
         elif self.order <= _TABLE_MAX_ORDER:
             self._bind_tables()
 
@@ -663,18 +662,36 @@ class ExtensionField(Field):
         of them, so int order is tuple order and ``_sqrt``'s ``min(r, -r)``
         keeps the root the tuples gave.  Addition is digit-wise mod p, so
         plus[a][b] = a + b and minus[a] = -a are tables read off the digits.
-        With g a generator of the multiplicative group: exp[n] = g**n over
-        2(q-1) entries, so a sum of two logs needs no modulo, and log
-        inverts it (log[0] is None).  Division and powers are ``Field``'s
-        ``_div`` and ``_pow`` over these hooks.
         """
         p, k, m, q = self.p, self.k, self.modulus, self.order
-        q1 = q - 1
         weights = [p ** (k - 1 - i) for i in range(k)]  # payload weight of c_i
         one = weights[0]
         by_index = [0]  # payload of the element with each elements() index
         for w in weights:
             by_index = [x + c * w for c in range(p) for x in by_index]
+        plus = [[sum((a // w + b // w) % p * w for w in weights) for b in range(q)] for a in range(q)]
+        minus = [row.index(0) for row in plus]  # -a is the b with a + b = 0
+
+        self._from_int = lambda n: n % p * one
+        self._add = lambda a, b: plus[a][b]
+        self._sub = lambda a, b: plus[a][minus[b]]
+        self._neg = minus.__getitem__
+        self._payload_from_index = by_index.__getitem__
+        self._parse_payload = lambda s: sum(map(operator.mul, polys.mod(_parse_dense(s, p), m, p), weights))
+        self._render = lambda a: _render_poly([a // w % p for w in weights], "t")
+        self._bind_logs(weights)
+
+    def _bind_logs(self, weights):
+        """Bind ``_mul`` and ``_inv`` on log/antilog tables over int payloads.
+
+        A payload is sum(c_i * weights[i]) over the coefficients c_i of
+        t^i.  With g a generator of the multiplicative group: exp[n] = g**n
+        over 2(q-1) entries, so a sum of two logs needs no modulo, and log
+        inverts it (log[0] is None).  Division, powers and roots are
+        ``Field``'s over these hooks.
+        """
+        p, m, q = self.p, self.modulus, self.order
+        q1 = q - 1
         for i in range(p, q):  # from t on: the constants have order dividing p - 1
             g = ExtensionField._payload_from_index(self, i)
             exp, v = [], (1,)
@@ -689,18 +706,9 @@ class ExtensionField(Field):
         log = [None] * q
         for n in range(q1):
             log[exp[n]] = n
-        plus = [[sum((a // w + b // w) % p * w for w in weights) for b in range(q)] for a in range(q)]
-        minus = [row.index(0) for row in plus]  # -a is the b with a + b = 0
 
-        self._from_int = lambda n: n % p * one
-        self._add = lambda a, b: plus[a][b]
-        self._sub = lambda a, b: plus[a][minus[b]]
-        self._neg = minus.__getitem__
         self._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
         self._inv = lambda a: exp[q1 - log[a]]
-        self._payload_from_index = by_index.__getitem__
-        self._parse_payload = lambda s: sum(map(operator.mul, polys.mod(_parse_dense(s, p), m, p), weights))
-        self._render = lambda a: _render_poly([a // w % p for w in weights], "t")
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"

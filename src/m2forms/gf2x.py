@@ -6,8 +6,6 @@ All functions here take and return plain ints.
 
 ``mul`` adds one shifted copy of the larger operand per set bit of the
 smaller.  ``gcd`` is Euclid's algorithm with the remainder taken inline.
-``mulmod`` and ``inv_mod`` are the arithmetic of GF(2)[x]/(m), which is
-GF(2^k) for an irreducible m of degree k.
 """
 
 
@@ -26,33 +24,6 @@ def mul(a, b):
         c ^= a * low
         b ^= low
     return c
-
-
-def mulmod(a, b, m):
-    """a*b reduced modulo a nonzero m."""
-    c = mul(a, b)
-    n = m.bit_length()
-    while (nc := c.bit_length()) >= n:
-        c ^= m << (nc - n)
-    return c
-
-
-def inv_mod(a, m):
-    """Inverse of a modulo m, for deg a < deg m.
-
-    Extended Euclid that cancels the leading term with one shift per
-    step: the invariants s*a = u and r*a = v (mod m) keep deg s < deg m.
-    """
-    u, v, s, r = a, m, 1, 0
-    while u != 1:
-        j = u.bit_length() - v.bit_length()
-        if j < 0:
-            if u == 0:
-                raise ZeroDivisionError("element is not invertible")
-            u, v, s, r, j = v, u, r, s, -j
-        u ^= v << j
-        s ^= r << j
-    return s
 
 
 def divmod_(a, b):

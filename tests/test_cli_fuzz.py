@@ -25,10 +25,13 @@ MALFORMED = (
     "", "1/0", "t^", "*t", "+", "--1", "1_0", "٣", "(x", "x)", "t^99999", "9" * 5000,
     "[1]", "y", "1/2/3",
 )
-# descriptor -> the entries its grammar accepts
+# descriptor -> the entries its grammar accepts.  An oracle request over
+# GF(25) or GF(2^8) stops at once at the order bound; GF(16) stays out, as
+# a one-term oracle target over it scans 16^4 matrices.
 FIELDS = {
     "Q": RATIONAL, "GF(2)": RESIDUE, "GF(3)": RESIDUE, "GF(5)": RESIDUE, "GF(7)": RESIDUE,
-    "GF(4)": POLY_T, "GF(8)": POLY_T, "GF(9)": POLY_T, "GF(27)": POLY_T, "F2(X)": POLY_X,
+    "GF(4)": POLY_T, "GF(8)": POLY_T, "GF(9)": POLY_T, "GF(25)": POLY_T, "GF(27)": POLY_T,
+    "GF(2^8);modulus=t^8+t^4+t^3+t+1": POLY_T, "F2(X)": POLY_X,
 }
 BAD_FIELDS = (
     "", "GF(6)", "GF(1)", "GF(0)", "GF(9", "gf(7)", "GF(2^0)", "GF(3^9)", "GF(2^64)",

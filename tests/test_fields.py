@@ -215,9 +215,21 @@ class TestExtensionField:
         assert GF9.parse("t^2") == GF9.parse("-1")
         assert GF9.parse("3*t+4") == GF9.parse("1")
 
-    def test_render_parse_round_trip(self):
-        for a in GF9.elements():
-            assert GF9.parse(str(a)) == a
+    # every element of the table-backed fields, seeded samples of the rest
+    TABLE_FIELDS = ["GF(4)", "GF(8)", "GF(16)", "GF(2^8);modulus=t^8+t^4+t^3+t+1", "GF(9)", "GF(25)"]
+    SAMPLED_FIELDS = ["GF(27)", "GF(7^2);modulus=t^2+1", "Q", "F2(X)"]
+
+    @pytest.mark.parametrize("descriptor", TABLE_FIELDS + SAMPLED_FIELDS)
+    def test_render_parse_round_trip(self, descriptor):
+        field = field_from_string(descriptor)
+        if descriptor in self.TABLE_FIELDS:
+            elements = list(field.elements())
+        else:
+            rng = random.Random(descriptor)
+            elements = [field.random_element(rng) for _ in range(200)]
+        for a in elements:
+            b = field.parse(str(a))
+            assert b == a and b.payload == a.payload
 
     def test_elements_count(self):
         assert len(list(GF8.elements())) == 8

@@ -152,8 +152,3 @@ class TestReducedArithmetic:
         assert (a * a.inv()).payload == (1, 1)
         assert (a * F2X.zero()).payload == (0, 1)
 
-
-class TestModularKernel:
-    def test_inv_mod_refuses_a_non_unit(self):
-        with pytest.raises(ZeroDivisionError, match="not invertible"):
-            gf2x.inv_mod(0b11, 0b101)  # x+1 divides x^2+1
