@@ -6,12 +6,11 @@ so that equality of payloads is equality in the field:
   Rationals               reduced fractions n/d as int pairs (n, d), d > 0
   PrimeField(p)           residues in [0, p)
   ExtensionField(p, k)    polynomials of degree < k modulo a monic
-                          irreducible modulus: for p = 2 packed into one
-                          int, bit i the coefficient of t^i; for odd p
-                          and q <= 25 an int read in base p, c0 the most
-                          significant digit; both multiply on log/antilog
-                          tables; odd q > 25 are ascending coefficient
-                          tuples over GF(p) (see polys)
+                          irreducible modulus: for p = 2 and odd q <= 25
+                          the int sum(c_i * w_i) over the coefficients c_i
+                          of t^i, w_i = 2**i or p**(k-1-i), multiplied on
+                          log/antilog tables; odd q > 25 are ascending
+                          coefficient tuples over GF(p) (see polys)
   RationalFunctionField2  quotients of GF(2)[x] polynomials in lowest
                           terms, packed into int pairs (see gf2x)
 
@@ -590,17 +589,19 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """GF(p^k) as polynomials modulo a monic irreducible of degree k.
 
-    For p = 2 a payload is an int below 2^k, bit i the coefficient of
-    t^i, which is also its index in ``elements()``; add and sub are xor
-    and neg is the identity.  For odd p and q <= 25 it is the int
-    sum(c_i * p**(k-1-i)), c0 the most significant digit and not the
-    ``elements()`` index; add, sub and neg are lookups in sum and
-    negation tables (see ``_bind_tables``).  Both multiply and invert on
-    log/antilog tables (see ``_bind_logs``), and div, pow and sqrt are
-    ``Field``'s over those.  Odd q > 25 is an ascending coefficient tuple
-    over GF(p) of degree < k, run through polys.  ``_build`` binds one
-    set of hooks per descriptor, so no operation tests p or q.
-    ``modulus`` is the ascending tuple for every p.
+    For p = 2 and for odd q <= 25 a payload is the int sum(c_i * w_i)
+    over the coefficients c_i of t^i, and one binder, ``_bind_ints``,
+    serves both weight schemes: it parses and indexes through the tuple
+    hooks, renders the digits, and multiplies and inverts on log/antilog
+    tables.  p = 2 passes w_i = 2**i, so a payload is its ``elements()``
+    index, add and sub are xor and neg is the identity.  Odd p passes
+    w_i = p**(k-1-i), c0 the most significant digit, so int order is
+    tuple order and ``_sqrt``'s ``min(r, -r)`` keeps the root the tuples
+    gave; add, sub and neg are lookups in sum and negation tables.  Odd
+    q > 25 is an ascending coefficient tuple over GF(p) of degree < k,
+    run through polys.  ``_build`` binds one set of hooks per descriptor,
+    so no operation tests p or q.  ``modulus`` is the ascending tuple for
+    every p.
 
     A default modulus is supplied for the small fields used throughout
     the tests; elsewhere one must be given (as an ascending tuple or as
@@ -644,60 +645,42 @@ class ExtensionField(Field):
         self.order = p**k
         self.modulus = modulus
         if p == 2:
-            m = sum(c << i for i, c in enumerate(modulus))
-            self._from_int = (1).__and__  # n mod 2
             self._add = self._sub = operator.xor
-            self._neg = self._payload_from_index = _same
-            self._parse_payload = lambda s: gf2x.divmod_(_parse_poly_bits(s, "t"), m)[1]
-            self._render = lambda a: _render_bits(a, "t")
-            self._bind_logs([1 << i for i in range(k)])
+            self._neg = operator.pos  # -a == a in characteristic 2
+            self._bind_ints([1 << i for i in range(k)])
         elif self.order <= _TABLE_MAX_ORDER:
-            self._bind_tables()
+            q, weights = self.order, [p ** (k - 1 - i) for i in range(k)]
+            self._bind_ints(weights)
+            # addition is digit-wise mod p: plus[a][b] = a + b, minus[a] = -a
+            plus = [[sum((a // w + b // w) % p * w for w in weights) for b in range(q)] for a in range(q)]
+            minus = [row.index(0) for row in plus]  # -a is the b with a + b = 0
+            self._add = lambda a, b: plus[a][b]
+            self._sub = lambda a, b: plus[a][minus[b]]
+            self._neg = minus.__getitem__
 
-    def _bind_tables(self):
-        """Bind table hooks on int payloads, for odd p and q <= 25.
-
-        A payload is sum(c_i * p**(k-1-i)), c0 the most significant digit:
-        the rank of the element's ascending coefficient tuple among all q
-        of them, so int order is tuple order and ``_sqrt``'s ``min(r, -r)``
-        keeps the root the tuples gave.  Addition is digit-wise mod p, so
-        plus[a][b] = a + b and minus[a] = -a are tables read off the digits.
-        """
-        p, k, m, q = self.p, self.k, self.modulus, self.order
-        weights = [p ** (k - 1 - i) for i in range(k)]  # payload weight of c_i
-        one = weights[0]
-        by_index = [0]  # payload of the element with each elements() index
-        for w in weights:
-            by_index = [x + c * w for c in range(p) for x in by_index]
-        plus = [[sum((a // w + b // w) % p * w for w in weights) for b in range(q)] for a in range(q)]
-        minus = [row.index(0) for row in plus]  # -a is the b with a + b = 0
-
-        self._from_int = lambda n: n % p * one
-        self._add = lambda a, b: plus[a][b]
-        self._sub = lambda a, b: plus[a][minus[b]]
-        self._neg = minus.__getitem__
-        self._payload_from_index = by_index.__getitem__
-        self._parse_payload = lambda s: sum(map(operator.mul, polys.mod(_parse_dense(s, p), m, p), weights))
-        self._render = lambda a: _render_poly([a // w % p for w in weights], "t")
-        self._bind_logs(weights)
-
-    def _bind_logs(self, weights):
-        """Bind ``_mul`` and ``_inv`` on log/antilog tables over int payloads.
+    def _bind_ints(self, weights):
+        """Bind every int-payload hook but add, sub and neg, which differ.
 
         A payload is sum(c_i * weights[i]) over the coefficients c_i of
-        t^i.  With g a generator of the multiplicative group: exp[n] = g**n
-        over 2(q-1) entries, so a sum of two logs needs no modulo, and log
-        inverts it (log[0] is None).  Division, powers and roots are
-        ``Field``'s over these hooks.
+        t^i.  Parsing and ``elements()`` indexing go through the tuple
+        hooks and then that sum.  With g a generator of the multiplicative
+        group, exp[n] = g**n over 2(q-1) entries, so a sum of two logs
+        needs no modulo, and log inverts it (log[0] is None); ``_mul`` and
+        ``_inv`` read these tables, and division, powers and roots are
+        ``Field``'s over them.
         """
-        p, m, q = self.p, self.modulus, self.order
+        p, q, one = self.p, self.order, weights[0]
         q1 = q - 1
-        for i in range(p, q):  # from t on: the constants have order dividing p - 1
-            g = ExtensionField._payload_from_index(self, i)
+
+        def enc(v):  # an ascending coefficient tuple as its payload
+            return sum(map(operator.mul, v, weights))
+
+        tuples = [ExtensionField._payload_from_index(self, i) for i in range(q)]
+        for g in tuples[p:]:  # from t on: the constants have order dividing p - 1
             exp, v = [], (1,)
             while True:  # g**0, g**1, ... until g**n is 1 again, so n is the order of g
-                exp.append(sum(map(operator.mul, v, weights)))
-                v = polys.mod(polys.mul(v, g, p), m, p)
+                exp.append(enc(v))
+                v = ExtensionField._mul(self, v, g)
                 if v == (1,):
                     break
             if len(exp) == q1:
@@ -707,6 +690,10 @@ class ExtensionField(Field):
         for n in range(q1):
             log[exp[n]] = n
 
+        self._from_int = lambda n: n % p * one
+        self._payload_from_index = list(map(enc, tuples)).__getitem__
+        self._parse_payload = lambda s: enc(ExtensionField._parse_payload(self, s))
+        self._render = lambda a: _render_poly([a // w % p for w in weights], "t")
         self._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
         self._inv = lambda a: exp[q1 - log[a]]
 
@@ -746,10 +733,6 @@ class ExtensionField(Field):
 
     def _render(self, a):
         return _render_poly(a, "t")
-
-
-def _same(a):
-    return a
 
 
 def _parse_dense(s: str, p: int) -> tuple:

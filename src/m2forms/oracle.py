@@ -34,7 +34,10 @@ def _check_finite(field: Field, bound: int, name: str = "bound"):
 
 
 def check_term_count(coeffs) -> None:
-    """Refuse forms of more than two terms, which the oracle cannot enumerate."""
+    """Refuse an empty form, and forms of more than two terms, which the
+    oracle cannot enumerate."""
+    if not coeffs:
+        raise ValueError("a form needs at least one coefficient")
     if len(coeffs) > 2:
         raise FieldTooLargeError("the oracle supports at most two coefficients")
 

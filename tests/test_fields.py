@@ -16,6 +16,7 @@ import pytest
 
 from m2forms import (
     CharacteristicError,
+    DiagonalForm,
     ExtensionField,
     FieldMismatchError,
     InfiniteFieldError,
@@ -25,7 +26,9 @@ from m2forms import (
     PrimeField,
     RationalFunctionField2,
     Rationals,
+    decompose,
     field_from_string,
+    gf2x,
     is_prime,
     polys,
 )
@@ -770,6 +773,32 @@ class TestPackedBinaryExtension:
         assert str(field.parse(text)) == expected
         assert field.parse(text) == field.parse(expected)
 
+    @pytest.mark.parametrize(
+        "field, text, rendered, target, matrices",
+        [
+            (GF8, "t^9+2*t-1", "t^2+1", "[[t^9,3*t],[-t,t+t+1]]",
+             ["[[t^2+1,t],[t,0]]", "[[0,t],[1,0]]"]),
+            (FIELDS[-1], "t^8-t", "t^4+t^3+1", "[[t,1],[t^7,t^2+1]]",
+             ["[[t^7+t^2+t,t^6+t^4+t^3+t^2+t+1],[t^6+t^4+t^2,0]]", "[[0,t^7+t^3+t],[1,0]]"]),
+        ],
+        ids=["GF8", "GF256"],
+    )
+    def test_gf2x_is_not_called(self, monkeypatch, field, text, rendered, target, matrices):
+        """gf2x is F2(X)'s kernel only: GF(2^k) parses, renders, computes
+        and decomposes without it."""
+
+        def refuse(*args):
+            raise AssertionError("GF(2^k) called gf2x")
+
+        for name in ("divmod_", "mul", "gcd", "sqrt"):
+            monkeypatch.setattr(gf2x, name, refuse)
+        x, y = field.parse(text), field.parse("t+1")
+        assert str(x) == rendered and x == field.parse(rendered)
+        assert (x * y) / y == x and (x + y) - y == x and -x == x
+        assert x.sqrt() ** 2 == x and x ** (field.order - 1) == 1
+        result = decompose(DiagonalForm(field, ["t", 1]), Mat2.parse(field, target))
+        assert [str(m) for m in result.matrices] == matrices
+
     def test_int_coercion(self):
         assert GF8(3) == GF8(1) == GF8.one() and GF8(-2) == GF8.zero()
         assert GF8.parse("t") + 1 == GF8.parse("t+1")
@@ -874,6 +903,13 @@ class TestPackedOddExtension:
         expected = [_render_poly(_index_coeffs(field, i), "t") for i in range(field.order)]
         assert texts == expected
         assert all(field.parse(text) == e for text, e in zip(texts, field.elements()))
+
+    @pytest.mark.parametrize("field", FIELDS[:3] + [GF27], ids=str)
+    @pytest.mark.parametrize("text", ["t^4096", "+t", "-1", "3*t"])
+    def test_unreduced_input(self, field, text):
+        reference = ExtensionField._parse_payload(field, text)  # the tuple path's parse
+        assert _odd_coeffs(field, field.parse(text).payload) == reference
+        assert str(field.parse(text)) == _render_poly(reference, "t")
 
     def test_boundary_keeps_tuple_payloads(self):
         assert GF27.parse("t+1").payload == (1, 1)

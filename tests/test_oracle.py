@@ -215,6 +215,12 @@ class TestOneTermAsTwoTerm:
         with pytest.raises(FieldMismatchError):
             first_solution([1, 1], Mat2.zero(GF5), GF3)
 
+    def test_empty_form_refused(self):
+        with pytest.raises(ValueError, match="^a form needs at least one coefficient$"):
+            first_solution([], Mat2.zero(GF3), GF3)
+        with pytest.raises(ValueError, match="^a form needs at least one coefficient$"):
+            first_unrepresentable([], GF3)
+
     def test_sweep_bound_is_named(self):
         with pytest.raises(FieldTooLargeError, match="above the sweep bound 5"):
             check_universal_exhaustive(1, 1, PrimeField(7))
