@@ -22,12 +22,12 @@ function field is not, and its missing square roots are what the
 characteristic-2 solver reports via NotASquareError.
 
 Each family writes its own payload hooks.  ``Field`` supplies the shared
-ones once: ``_div`` and ``FieldElement.inv`` refuse zero (so no ``_inv``
-checks), ``_pow`` is square-and-multiply, ``_is_zero`` is ``not a``
-(every zero payload but the pairs of Q and F2(X) is falsy), ``_render``
-is ``str(a)``, and for the finite families ``elements``,
-``random_element`` and ``sqrt`` run over ``_payload_from_index``, which
-numbers the payloads 0..q-1 in canonical order.
+ones once: ``_sub`` is ``a + (-b)``, ``_div`` and ``FieldElement.inv``
+refuse zero (so no ``_inv`` checks), ``_pow`` is square-and-multiply,
+``_is_zero`` is ``not a``, ``_render`` is ``str(a)``, and for the finite
+families ``elements``, ``random_element`` and ``sqrt`` run over
+``_payload_from_index``, which numbers the payloads 0..q-1 in canonical
+order.  ``_Fractions`` serves Q and F2(X).
 
 Descriptors are interned by class and normalized key, so every spelling
 of a field is one object and field equality is identity.
@@ -382,6 +382,9 @@ class Field:
     def _from_other(self, value):
         raise TypeError(f"cannot make a {self} element from {value!r}")
 
+    def _sub(self, a, b):
+        return self._add(a, self._neg(b))
+
     def _div(self, a, b):
         if self._is_zero(b):
             raise ZeroDivisionError("division by zero")
@@ -446,25 +449,47 @@ class Field:
         return min(r, self._neg(r))
 
 
-class Rationals(Field):
+class _Fractions(Field):
+    """A fraction field: payloads are pairs (n, d) in lowest terms.
+
+    The ring binds ``_gcd``, an exact quotient ``_quo`` and ``_root``, a
+    square root or None.  No gcd of full products is taken: ``_add``
+    cancels only against gcd(d1, d2) (Knuth 4.5.1), and ``_mul``, hence
+    ``_div`` and ``_pow``, cross-cancels gcd(n1, d2) and gcd(n2, d1)
+    first (Henrici); both stay per ring, on the ring's own operators.
+    """
+
+    def _reduce(self, num, den):
+        g = self._gcd(num, den)
+        return (self._quo(num, g), self._quo(den, g))
+
+    def _is_zero(self, a):
+        return a[0] == 0
+
+    def _sqrt(self, a):
+        num, den = self._root(a[0]), self._root(a[1])
+        if num is None or den is None:
+            raise NotASquareError(FieldElement(self, a))
+        return (num, den)
+
+
+class Rationals(_Fractions):
     """The field of rational numbers.
 
     A payload is an int pair (n, d) in lowest terms with d > 0, so equal
-    rationals have equal payloads.  As in ``RationalFunctionField2`` no
-    gcd of full products is taken: ``_add`` cancels only against
-    gcd(d1, d2) (Knuth 4.5.1), and ``_mul``, hence ``_div`` and ``_pow``,
-    cross-cancels gcd(n1, d2) and gcd(n2, d1) first (Henrici).
+    rationals have equal payloads.
     """
 
     _RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+    _gcd = math.gcd
+    _quo = operator.floordiv
 
     def __repr__(self):
         return "Q"
 
     @staticmethod
-    def _reduce(num: int, den: int):
-        g = math.gcd(num, den)
-        return (num // g, den // g)
+    def _root(n: int) -> int | None:
+        return r if n >= 0 and (r := math.isqrt(n)) * r == n else None
 
     def _from_int(self, n):
         return (int(n), 1)  # int(): True is 1, and renders so
@@ -486,9 +511,6 @@ class Rationals(Field):
         g = math.gcd(t, g)
         return (t // g, s * (d2 // g))
 
-    def _sub(self, a, b):
-        return self._add(a, (-b[0], b[1]))
-
     def _mul(self, a, b):
         (n1, d1), (n2, d2) = a, b
         g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
@@ -501,21 +523,9 @@ class Rationals(Field):
         n, d = a
         return (d, n) if n > 0 else (-d, -n)
 
-    def _is_zero(self, a):
-        return a[0] == 0
-
     def _render(self, a):
         n, d = a
         return str(n) if d == 1 else f"{n}/{d}"
-
-    def _sqrt(self, a):
-        n, d = a
-        if n < 0:
-            raise NotASquareError(FieldElement(self, a))
-        num, den = _isqrt_exact(n), _isqrt_exact(d)
-        if num is None or den is None:
-            raise NotASquareError(FieldElement(self, a))
-        return (num, den)
 
     def _parse_payload(self, s):
         if not self._RE.match(s):
@@ -530,11 +540,6 @@ class Rationals(Field):
         num = rng.randint(-(10**6), 10**6)
         den = rng.randint(1, 10**6)
         return FieldElement(self, self._reduce(num, den))
-
-
-def _isqrt_exact(n: int) -> int | None:
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 class PrimeField(Field):
@@ -709,9 +714,6 @@ class ExtensionField(Field):
     def _add(self, a, b):
         return polys.add(a, b, self.p)
 
-    def _sub(self, a, b):
-        return polys.sub(a, b, self.p)
-
     def _mul(self, a, b):
         return polys.mod(polys.mul(a, b, self.p), self.modulus, self.p)
 
@@ -744,7 +746,12 @@ def _parse_dense(s: str, p: int) -> tuple:
     return polys.normalize(dense, p)
 
 
-class RationalFunctionField2(Field):
+def _quo(a: int, g: int) -> int:
+    """Exact quotient of packed polynomials, for g dividing a."""
+    return a if g == 1 else gf2x.divmod_(a, g)[0]
+
+
+class RationalFunctionField2(_Fractions):
     """GF(2)(x), rational functions over GF(2) in one variable.
 
     Payloads are pairs of packed GF(2)[x] polynomials (see gf2x) in
@@ -752,26 +759,16 @@ class RationalFunctionField2(Field):
     the only unit is 1.  This field has characteristic 2 but is not
     perfect: x has no square root, so ``sqrt`` is partial and the
     characteristic-2 solver can fail here, by design.
-
-    No gcd of full products is taken: ``_add`` cancels only against
-    gcd(d1, d2) (Knuth 4.5.1), and ``_mul``, hence ``_div`` and ``_pow``,
-    cross-cancels gcd(n1, d2) and gcd(n2, d1) first (Henrici).
     """
 
     characteristic = 2
     perfect = False
+    _gcd = staticmethod(gf2x.gcd)
+    _quo = staticmethod(_quo)
+    _root = staticmethod(gf2x.sqrt)
 
     def __repr__(self):
         return "F2(X)"
-
-    @staticmethod
-    def _reduce(num: int, den: int):
-        if den == 0:
-            raise ZeroDivisionError("division by zero")
-        if num == 0:
-            return (0, 1)
-        g = gf2x.gcd(num, den)
-        return (_quo(num, g), _quo(den, g))
 
     def _from_int(self, n):
         return (n % 2, 1)
@@ -798,16 +795,6 @@ class RationalFunctionField2(Field):
 
     def _inv(self, a):
         return (a[1], a[0])
-
-    def _is_zero(self, a):
-        return a[0] == 0
-
-    def _sqrt(self, a):
-        num = gf2x.sqrt(a[0])
-        den = gf2x.sqrt(a[1])
-        if num is None or den is None:
-            raise NotASquareError(FieldElement(self, a))
-        return (num, den)
 
     def _parse_payload(self, s):
         depth = 0
@@ -846,11 +833,6 @@ class RationalFunctionField2(Field):
         while den == 0:
             den = rng.randrange(32)
         return FieldElement(self, self._reduce(num, den))
-
-
-def _quo(a: int, g: int) -> int:
-    """Exact quotient of packed polynomials, for g dividing a."""
-    return a if g == 1 else gf2x.divmod_(a, g)[0]
 
 
 def _strip_parens(s: str) -> str:

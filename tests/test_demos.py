@@ -1,4 +1,8 @@
-"""Every demo runs to completion in a fresh interpreter."""
+"""Every demo runs to completion in a fresh interpreter and prints its golden output.
+
+The files under tests/golden/ are each demo's stdout; the demos are
+deterministic, so a change that alters any of it shows up here.
+"""
 
 import os
 import subprocess
@@ -27,3 +31,5 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stdout + result.stderr
+    golden = ROOT / "tests" / "golden" / Path(demo).with_suffix(".txt")
+    assert result.stdout == golden.read_text()

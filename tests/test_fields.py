@@ -93,7 +93,7 @@ class TestRationals:
     def test_sqrt(self):
         assert Q.parse("9/4").sqrt() == Q.parse("3/2")
         assert Q(0).sqrt() == Q(0)
-        for bad in [Q(2), Q(-4), Q.parse("1/3")]:
+        for bad in [Q(2), Q(-4), Q.parse("1/3"), Q.parse("2/9"), Q.parse("9/2")]:
             with pytest.raises(NotASquareError):
                 bad.sqrt()
         assert not Q(-4).is_square()
@@ -295,6 +295,10 @@ class TestRationalFunctionField:
         # x^3+x = x*(x+1)^2 and x^2+1 = (x+1)^2 share the square factor
         assert F2X.parse("(x^3+x)/(x^2+1)") == F2X.parse("x")
         assert str(F2X.parse("(x^3+x)/(x^2+1)")) == "x"
+        # gcd(0, d) = d, so zero reduces to (0, 1) whatever its denominator
+        assert F2X.parse("0/(x)").payload == (0, 1)
+        assert Q.parse("0/5").payload == (0, 1)
+        assert Q.parse("-6/4").payload == (-3, 2)
 
     def test_parse_rejects(self):
         for bad in ["", "x/", "(x", "x)", "1/0", "(x)/(0)", "y+1"]:
@@ -308,12 +312,19 @@ class TestRationalFunctionField:
             x.sqrt()
         assert err.value.element == x
         assert not x.is_square()
+        inv_x = F2X.parse("1/x")  # a square numerator over a non-square denominator
+        with pytest.raises(NotASquareError) as err:
+            inv_x.sqrt()
+        assert err.value.element == inv_x
 
     def test_frobenius_squares(self):
         x = F2X.parse("x")
         assert x.frobenius() == F2X.parse("x^2")
 
     def test_sqrt_of_squares(self):
+        root = F2X.parse("(x^2)/(x^4+1)").sqrt()
+        assert root == F2X.parse("(x)/(x^2+1)")
+        assert root.payload == (2, 5)
         rng = random.Random(7)
         for _ in range(50):
             f = rand(F2X, rng)
@@ -661,6 +672,12 @@ class TestParseAndBoundErrors:
             (GF9, "2*5", "expected 't' after '*' (at position 2 in '2*5')"),
             (GF9, "t3", "expected '+' or '-' (at position 1 in 't3')"),
             (F2X, "(x)+(1)", "expected a term (at position 0 in '(x)+(1)')"),
+            (F2X, "(x", "unbalanced '(' (at position 1 in '(x')"),
+            (F2X, "x)", "unbalanced ')' (at position 1 in 'x)')"),
+            (F2X, "(x)/(0)", "zero denominator (at position 4 in '(x)/(0)')"),
+            (F2X, "x/", "empty polynomial (at position 0 in '')"),
+            (Q, "1/0", "zero denominator (at position 2 in '1/0')"),
+            (Q, "1/-2", "expected [-]digits[/digits] (at position 0 in '1/-2')"),
         ],
     )
     def test_parse_errors(self, field, text, message):
