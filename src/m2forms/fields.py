@@ -115,19 +115,19 @@ def _parse_int(digits: str, text: str, pos: int) -> int:
         raise ParseError("too many digits", text, pos) from None
 
 
-def _parse_poly_text(text: str, var: str) -> dict[int, int]:
-    """Parse ``text`` as a sum of terms in ``var``.
+def _parse_poly_text(text: str, var: str, start: int, end: int) -> dict[int, int]:
+    """Parse ``text[start:end]`` as a sum of terms in ``var``.
 
     Terms look like ``5``, ``t``, ``t^3``, ``2*t`` and are joined by '+'
     or '-'; digits are ASCII 0-9 only.  Returns accumulated signed
     coefficients by exponent; callers reduce them into their own field.
+    Error positions are indices into the whole ``text``.
     """
-    s = text
-    n = len(s)
-    if n == 0:
-        raise ParseError("empty polynomial", text, 0)
+    s, n = text, end
+    if n == start:
+        raise ParseError("empty polynomial", text, start)
     coeffs: dict[int, int] = {}
-    i = 0
+    i = start
     first = True
     while i < n:
         sign = 1
@@ -739,7 +739,7 @@ class ExtensionField(Field):
 
 def _parse_dense(s: str, p: int) -> tuple:
     """Parse whitespace-free text in t as a normalized polynomial over GF(p)."""
-    coeffs = _parse_poly_text(s, "t")
+    coeffs = _parse_poly_text(s, "t", 0, len(s))
     dense = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         dense[e] = c
@@ -812,13 +812,11 @@ class RationalFunctionField2(_Fractions):
         if slash == -1:
             if depth != 0:
                 raise ParseError("unbalanced '('", s, len(s) - 1)
-            return self._reduce(_parse_poly_bits(_strip_parens(s), "x"), 1)
-        num_text = _strip_parens(s[:slash])
-        den_text = _strip_parens(s[slash + 1 :])
-        den = _parse_poly_bits(den_text, "x")
+            return self._reduce(_parse_poly_bits(s, *_strip_parens(s, 0, len(s))), 1)
+        den = _parse_poly_bits(s, *_strip_parens(s, slash + 1, len(s)))
         if den == 0:
             raise ParseError("zero denominator", s, slash + 1)
-        return self._reduce(_parse_poly_bits(num_text, "x"), den)
+        return self._reduce(_parse_poly_bits(s, *_strip_parens(s, 0, slash)), den)
 
     def _render(self, a):
         num, den = a
@@ -835,24 +833,25 @@ class RationalFunctionField2(_Fractions):
         return FieldElement(self, self._reduce(num, den))
 
 
-def _strip_parens(s: str) -> str:
-    if len(s) >= 2 and s[0] == "(" and s[-1] == ")":
+def _strip_parens(s: str, start: int, end: int) -> tuple[int, int]:
+    """The bounds of ``s[start:end]`` less one pair of parens spanning all of it."""
+    if end - start >= 2 and s[start] == "(" and s[end - 1] == ")":
         depth = 0
-        for i, ch in enumerate(s):
-            if ch == "(":
+        for i in range(start, end):
+            if s[i] == "(":
                 depth += 1
-            elif ch == ")":
+            elif s[i] == ")":
                 depth -= 1
-                if depth == 0 and i != len(s) - 1:
-                    return s  # outer parens do not span the whole text
-        return s[1:-1]
-    return s
+                if depth == 0 and i != end - 1:
+                    return start, end  # outer parens do not span the whole text
+        return start + 1, end - 1
+    return start, end
 
 
-def _parse_poly_bits(s: str, var: str) -> int:
-    """Parse whitespace-free text in ``var`` as a packed GF(2)[var] polynomial."""
+def _parse_poly_bits(s: str, start: int, end: int) -> int:
+    """Parse whitespace-free ``s[start:end]`` in x as a packed GF(2)[x] polynomial."""
     bits = 0
-    for e, c in _parse_poly_text(s, var).items():
+    for e, c in _parse_poly_text(s, "x", start, end).items():
         if c % 2:
             bits |= 1 << e
     return bits

@@ -5,7 +5,10 @@ enumeration of all q**4 matrices.  Two-term queries precompute one
 term's image set and look up the residual, so a full sweep costs
 O(q**4) instead of O(q**8).  Enumeration is lexicographic in the entry
 order (e11, e12, e21, e22) over each field's canonical element order,
-which makes witnesses and first counterexamples deterministic.
+which makes witnesses and first counterexamples deterministic.  A
+square set enumerates the entries' payloads in that order and squares
+them with the field's payload hooks; only its members and their first
+preimages become ``Mat2``.
 
 ``first_solution`` and ``first_unrepresentable`` answer every one- and
 two-term query (CLI, single-term explanation) and own their bounds.  A
@@ -70,17 +73,37 @@ class SquareSet:
 
 
 def build_square_set(field: Field, coeff) -> SquareSet:
-    """Enumerate {coeff * X**2 : X in M2(field)} for a field of order <= 16."""
+    """Enumerate {coeff * X**2 : X in M2(field)} for a field of order <= 16.
+
+    X = [[a,b],[c,d]] runs over payload 4-tuples in ``all_matrices``
+    order, and k*X**2 = [[k(a^2+bc), kb(a+d)], [kc(a+d), k(d^2+bc)]]
+    comes from the field's ``_add`` and ``_mul`` hooks, with the products
+    fixed by a, b and c taken out of the inner loops.  Only a new square
+    and its first X become ``Mat2``s, over the field's own elements.
+    """
     _check_finite(field, MAX_ORDER)
     coeff = field(coeff)
     if not coeff:  # 0 * X**2 == 0, first reached at the zero matrix
         zero = Mat2.zero(field)
         return SquareSet(field, coeff, {zero: zero})
-    first_preimage: dict[Mat2, Mat2] = {}
-    for x in all_matrices(field):
-        value = x.square().scale(coeff)
-        if value not in first_preimage:
-            first_preimage[value] = x
+    add, mul, k = field._add, field._mul, coeff.payload
+    elems = list(field.elements())
+    element = {e.payload: e for e in elems}
+    k_squares = [mul(k, mul(e.payload, e.payload)) for e in elems]  # k*d^2 for each d
+    first: dict[tuple, Mat2] = {}  # payload 4-tuple of k*X^2 -> first X
+    for ea, ka2 in zip(elems, k_squares):
+        sums = [add(ea.payload, e.payload) for e in elems]  # a+d for each d
+        for eb in elems:
+            kb = mul(k, eb.payload)
+            for ec in elems:
+                c = ec.payload
+                kc, kbc = mul(k, c), mul(kb, c)
+                e11 = add(ka2, kbc)
+                for ed, kd2, s in zip(elems, k_squares, sums):
+                    key = (e11, mul(kb, s), mul(kc, s), add(kd2, kbc))
+                    if key not in first:
+                        first[key] = Mat2(ea, eb, ec, ed)
+    first_preimage = {Mat2(*map(element.__getitem__, key)): x for key, x in first.items()}
     return SquareSet(field, coeff, first_preimage)
 
 

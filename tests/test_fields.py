@@ -675,9 +675,11 @@ class TestParseAndBoundErrors:
             (F2X, "(x", "unbalanced '(' (at position 1 in '(x')"),
             (F2X, "x)", "unbalanced ')' (at position 1 in 'x)')"),
             (F2X, "(x)/(0)", "zero denominator (at position 4 in '(x)/(0)')"),
-            (F2X, "x/", "empty polynomial (at position 0 in '')"),
+            (F2X, "x/", "empty polynomial (at position 2 in 'x/')"),
             (Q, "1/0", "zero denominator (at position 2 in '1/0')"),
             (Q, "1/-2", "expected [-]digits[/digits] (at position 0 in '1/-2')"),
+            (F2X, "(x+1)/(x+)", "expected a term (at position 9 in '(x+1)/(x+)')"),
+            (F2X, "(x+)", "expected a term (at position 3 in '(x+)')"),
         ],
     )
     def test_parse_errors(self, field, text, message):

@@ -25,7 +25,10 @@ Q = Rationals()
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
+GF7 = PrimeField(7)
 GF4 = ExtensionField(2, 2)
+GF8 = ExtensionField(2, 3)
+GF9 = ExtensionField(3, 2)
 GF16 = ExtensionField(2, 4)
 F2X = RationalFunctionField2()
 
@@ -79,6 +82,26 @@ class TestSquareSet:
     def test_boundary_order_allowed(self):
         squares = build_square_set(ExtensionField(2, 4), 1)
         assert Mat2.zero(ExtensionField(2, 4)) in squares
+
+    # every coefficient for q <= 5; 1 and the last element for q = 7, 8, 9
+    @pytest.mark.parametrize(
+        "field, every",
+        [(GF2, True), (GF3, True), (GF4, True), (GF5, True)]
+        + [(GF7, False), (GF8, False), (GF9, False)],
+        ids=["GF2", "GF3", "GF4", "GF5", "GF7", "GF8", "GF9"],
+    )
+    def test_matches_mat2_enumeration(self, field, every):
+        elems = list(field.elements())
+        for a in elems if every else [field(1), elems[-1]]:
+            first = {}
+            for x in all_matrices(field):
+                first.setdefault(x.square().scale(a), x)
+            assert list(build_square_set(field, a).first_preimage.items()) == list(first.items()), a
+
+    def test_build_takes_no_matrix_square(self, square_calls):
+        squares = build_square_set(GF9, 1)
+        assert len(squares.members) == 2381
+        assert square_calls == []
 
 
 class TestRepresentableTwoTerm:
