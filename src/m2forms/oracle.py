@@ -6,9 +6,12 @@ term's image set and look up the residual, so a full sweep costs
 O(q**4) instead of O(q**8).  Enumeration is lexicographic in the entry
 order (e11, e12, e21, e22) over each field's canonical element order,
 which makes witnesses and first counterexamples deterministic.  A
-square set enumerates the entries' payloads in that order and squares
-them with the field's payload hooks; only its members and their first
-preimages become ``Mat2``.
+square set enumerates the entries' payloads in that order, squares them
+with the field's payload hooks and keys its members by payload
+4-tuples; a sweep walks the targets' payload 4-tuples and subtracts
+with the same hooks.  Only results (a first counterexample, a witness,
+``first_preimage`` when read) become ``Mat2``.  The X1 scan of a query
+stays on ``Mat2``.
 
 ``first_solution`` and ``first_unrepresentable`` answer every one- and
 two-term query (CLI, single-term explanation) and own their bounds.  A
@@ -52,24 +55,52 @@ def all_matrices(field: Field):
         yield Mat2(*entries)
 
 
+def _payloads(matrix: Mat2) -> tuple:
+    return (matrix.e11.payload, matrix.e12.payload, matrix.e21.payload, matrix.e22.payload)
+
+
 class SquareSet:
     """The image set {coeff * X**2} over all 2x2 matrices of a small field.
 
-    ``first_preimage`` maps each member to the first X (in enumeration
-    order) whose scaled square it is; its keys are the members.
+    Stored as a dict from the payload 4-tuple of each member to the
+    payload 4-tuple of its first X (in enumeration order), with the
+    field's payload -> element map.  ``first_preimage`` is that dict as
+    ``dict[Mat2, Mat2]`` in the same order, built on first read; its
+    keys are the members.  Membership looks up the payload key of a
+    ``Mat2`` over the set's own field.
     """
 
-    __slots__ = ("field", "coeff", "first_preimage")
+    __slots__ = ("field", "coeff", "_first", "_element", "_first_preimage")
 
     def __init__(self, field: Field, coeff: FieldElement, first_preimage: dict[Mat2, Mat2]):
-        self.field, self.coeff, self.first_preimage = field, coeff, first_preimage
+        self.field, self.coeff, self._first_preimage = field, coeff, first_preimage
+        self._first = {_payloads(v): _payloads(x) for v, x in first_preimage.items()}
+        mats = (*first_preimage, *first_preimage.values())
+        self._element = {e.payload: e for m in mats for e in m.entries()}
+
+    @classmethod
+    def _of_payloads(cls, field: Field, coeff: FieldElement, first: dict, element: dict) -> SquareSet:
+        squares = cls.__new__(cls)
+        squares.field, squares.coeff, squares._first_preimage = field, coeff, None
+        squares._first, squares._element = first, element
+        return squares
+
+    def _matrix(self, payloads) -> Mat2:
+        return Mat2(*map(self._element.__getitem__, payloads))
+
+    @property
+    def first_preimage(self) -> dict[Mat2, Mat2]:
+        if self._first_preimage is None:
+            matrix = self._matrix
+            self._first_preimage = {matrix(v): matrix(x) for v, x in self._first.items()}
+        return self._first_preimage
 
     @property
     def members(self):
         return self.first_preimage.keys()
 
-    def __contains__(self, matrix: Mat2) -> bool:
-        return matrix in self.first_preimage
+    def __contains__(self, matrix) -> bool:
+        return isinstance(matrix, Mat2) and matrix.field == self.field and _payloads(matrix) in self._first
 
 
 def build_square_set(field: Field, coeff) -> SquareSet:
@@ -78,33 +109,31 @@ def build_square_set(field: Field, coeff) -> SquareSet:
     X = [[a,b],[c,d]] runs over payload 4-tuples in ``all_matrices``
     order, and k*X**2 = [[k(a^2+bc), kb(a+d)], [kc(a+d), k(d^2+bc)]]
     comes from the field's ``_add`` and ``_mul`` hooks, with the products
-    fixed by a, b and c taken out of the inner loops.  Only a new square
-    and its first X become ``Mat2``s, over the field's own elements.
+    fixed by a, b and c taken out of the inner loops.  A new square's
+    payload 4-tuple stores its first X's; no ``Mat2`` is made.
     """
     _check_finite(field, MAX_ORDER)
     coeff = field(coeff)
+    element = {e.payload: e for e in field.elements()}
     if not coeff:  # 0 * X**2 == 0, first reached at the zero matrix
-        zero = Mat2.zero(field)
-        return SquareSet(field, coeff, {zero: zero})
+        zero = (field.zero().payload,) * 4
+        return SquareSet._of_payloads(field, coeff, {zero: zero}, element)
     add, mul, k = field._add, field._mul, coeff.payload
-    elems = list(field.elements())
-    element = {e.payload: e for e in elems}
-    k_squares = [mul(k, mul(e.payload, e.payload)) for e in elems]  # k*d^2 for each d
-    first: dict[tuple, Mat2] = {}  # payload 4-tuple of k*X^2 -> first X
-    for ea, ka2 in zip(elems, k_squares):
-        sums = [add(ea.payload, e.payload) for e in elems]  # a+d for each d
-        for eb in elems:
-            kb = mul(k, eb.payload)
-            for ec in elems:
-                c = ec.payload
+    payloads = list(element)
+    k_squares = [mul(k, mul(d, d)) for d in payloads]  # k*d^2 for each d
+    first: dict[tuple, tuple] = {}  # payload 4-tuple of k*X^2 -> that of the first X
+    for a, ka2 in zip(payloads, k_squares):
+        sums = [add(a, d) for d in payloads]  # a+d for each d
+        for b in payloads:
+            kb = mul(k, b)
+            for c in payloads:
                 kc, kbc = mul(k, c), mul(kb, c)
                 e11 = add(ka2, kbc)
-                for ed, kd2, s in zip(elems, k_squares, sums):
+                for d, kd2, s in zip(payloads, k_squares, sums):
                     key = (e11, mul(kb, s), mul(kc, s), add(kd2, kbc))
                     if key not in first:
-                        first[key] = Mat2(ea, eb, ec, ed)
-    first_preimage = {Mat2(*map(element.__getitem__, key)): x for key, x in first.items()}
-    return SquareSet(field, coeff, first_preimage)
+                        first[key] = (a, b, c, d)
+    return SquareSet._of_payloads(field, coeff, first, element)
 
 
 def representable_two_term(
@@ -112,17 +141,19 @@ def representable_two_term(
 ) -> tuple[Mat2, Mat2] | None:
     """First (X1, X2) with a1*X1**2 + a2*X2**2 == target, else None.
 
-    Scans X1 in enumeration order and looks the residual up in the
-    square set of a2 (reused across calls when passed in).
+    Scans X1 in enumeration order and looks the residual's payload key
+    up in the square set of a2 (reused across calls when passed in and
+    over this field).
     """
     _check_finite(field, MAX_ORDER)
     a1 = field(a1)
-    if square_set is None or square_set.coeff != field(a2):
+    if square_set is None or square_set.field != field or square_set.coeff != field(a2):
         square_set = build_square_set(field, a2)
+    first = square_set._first
     for x1 in all_matrices(field):
-        x2 = square_set.first_preimage.get(target - x1.square().scale(a1))
+        x2 = first.get(_payloads(target - x1.square().scale(a1)))
         if x2 is not None:
-            return x1, x2
+            return x1, square_set._matrix(x2)
     return None
 
 
@@ -131,14 +162,20 @@ def check_universal_exhaustive(a1, a2, field: Field) -> tuple[bool, Mat2 | None]
 
     Returns (True, None) when every one of the q**4 targets is a value
     of a1*X1**2 + a2*X2**2, else (False, first unrepresentable target).
+    Targets run over payload 4-tuples in ``all_matrices`` order, and
+    each residual t - v is formed with the field's ``_sub`` hook.
     """
     _check_finite(field, SWEEP_MAX_ORDER, "sweep bound")
     set1 = build_square_set(field, a1)
-    set2 = build_square_set(field, a2)
-    values1 = list(set1.first_preimage)  # insertion order; deterministic
-    for target in all_matrices(field):
-        if not any(target - v in set2.first_preimage for v in values1):
-            return False, target
+    second = build_square_set(field, a2)._first
+    sub = field._sub
+    values1 = list(set1._first)  # insertion order; deterministic
+    for t11, t12, t21, t22 in itertools.product(set1._element, repeat=4):  # payloads in element order
+        for v11, v12, v21, v22 in values1:
+            if (sub(t11, v11), sub(t12, v12), sub(t21, v21), sub(t22, v22)) in second:
+                break
+        else:
+            return False, set1._matrix((t11, t12, t21, t22))
     return True, None
 
 

@@ -124,6 +124,22 @@ class TestArithmetic:
         b = Mat2.of(GF3, [[1, 2], [0, 1]])
         assert len({a, b}) == 1
 
+    def test_hash_agrees_with_equality(self):
+        rng = random.Random(5)
+        for field in PROPERTY_FIELDS:
+            for _ in range(20):
+                m = rand_mat(field, rng)
+                same = Mat2.parse(field, str(m))
+                assert same == m and hash(same) == hash(m)
+                assert len({m, same, m + Mat2.identity(field)}) == 2
+
+    def test_equal_payloads_over_two_fields_stay_apart(self):
+        a = Mat2.of(GF3, [[1, 2], [0, 1]])
+        b = Mat2.of(GF5, [[1, 2], [0, 1]])
+        assert [e.payload for e in a.entries()] == [e.payload for e in b.entries()]
+        assert a != b
+        assert len({a, b}) == 2
+
 
 class TestParsing:
     def test_parse_with_whitespace(self):

@@ -1,10 +1,14 @@
 """Brute-force oracle: square sets, witnesses, sweeps, bounds, determinism."""
 
+import itertools
+import random
+
 import pytest
 
 from m2forms import (
     DiagonalForm,
     ExtensionField,
+    FieldElement,
     FieldMismatchError,
     FieldTooLargeError,
     InfiniteFieldError,
@@ -12,6 +16,7 @@ from m2forms import (
     PrimeField,
     RationalFunctionField2,
     Rationals,
+    SquareSet,
     all_matrices,
     build_square_set,
     check_universal_exhaustive,
@@ -176,6 +181,78 @@ class TestSweep:
             check_universal_exhaustive(1, 1, Q)
 
 
+def mat2_sweep(a1, a2, field):
+    """check_universal_exhaustive on the Mat2 layer, as a reference."""
+    images2 = {x.square().scale(a2) for x in all_matrices(field)}
+    values1 = list(dict.fromkeys(x.square().scale(a1) for x in all_matrices(field)))
+    for target in all_matrices(field):
+        if not any(target - v in images2 for v in values1):
+            return False, target
+    return True, None
+
+
+class TestPayloadSweep:
+    @pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=["GF2", "GF3", "GF4"])
+    def test_every_pair_matches_mat2_sweep(self, field):
+        for a1, a2 in itertools.product(list(field.elements()), repeat=2):
+            assert check_universal_exhaustive(a1, a2, field) == mat2_sweep(a1, a2, field), (a1, a2)
+
+    def test_gf5_pairs_match_mat2_sweep(self):
+        rng = random.Random(18)
+        pairs = [(0, 0), (0, 2), (3, 0)] + [(rng.randrange(1, 5), rng.randrange(1, 5)) for _ in range(3)]
+        for a1, a2 in pairs:
+            assert check_universal_exhaustive(a1, a2, GF5) == mat2_sweep(a1, a2, GF5), (a1, a2)
+
+    def test_sweep_takes_no_matrix_square(self, square_calls):
+        assert check_universal_exhaustive(1, 0, GF4)[0] is False
+        assert check_universal_exhaustive(2, 3, GF5) == (True, None)
+        assert square_calls == []
+
+    def test_only_the_counterexample_becomes_a_matrix(self, mat2_inits):
+        assert check_universal_exhaustive(2, 3, GF5) == (True, None)
+        assert mat2_inits == []
+        ok, counterexample = check_universal_exhaustive(1, 0, GF4)
+        assert not ok and len(mat2_inits) == 1
+
+
+class TestPayloadKeys:
+    """Square sets are keyed by payload 4-tuples, which repeat across fields."""
+
+    def test_build_makes_no_matrix_until_first_preimage_is_read(self, mat2_inits):
+        squares = build_square_set(GF9, 1)
+        assert mat2_inits == []
+        first = squares.first_preimage
+        assert len(first) == 2381 and len(mat2_inits) == 2 * 2381
+        assert squares.first_preimage is first and squares.members == first.keys()
+        assert len(mat2_inits) == 2 * 2381
+
+    def test_matrix_over_another_field_with_member_payloads(self):
+        squares = build_square_set(GF7, 1)
+        assert len(squares.members) == 865
+        for member in squares.members:
+            twin = Mat2(*(FieldElement(GF8, e.payload) for e in member.entries()))
+            assert member in squares
+            assert twin not in squares, member
+
+    @pytest.mark.parametrize("other", [0, None, "[[0,0],[0,0]]"], ids=["int", "None", "str"])
+    def test_non_matrix_not_in(self, other):
+        zero = Mat2.zero(GF2)
+        for squares in (
+            build_square_set(GF2, 1),
+            build_square_set(GF7, 0),
+            build_square_set(GF9, 1),
+            SquareSet(GF2, GF2(0), {zero: zero}),
+        ):
+            assert other not in squares
+
+    def test_square_set_over_another_field_rebuilt(self):
+        foreign = build_square_set(GF3, 1)
+        for target in list(all_matrices(GF4))[::8]:
+            expected = representable_two_term(1, 1, target, GF4)
+            assert representable_two_term(1, 1, target, GF4, square_set=foreign) == expected
+            assert expected[1].field is GF4
+
+
 @pytest.fixture
 def square_calls(monkeypatch):
     """Counts Mat2.square calls made after the fixture is set up."""
@@ -187,6 +264,20 @@ def square_calls(monkeypatch):
         return square(self)
 
     monkeypatch.setattr(Mat2, "square", counted)
+    return calls
+
+
+@pytest.fixture
+def mat2_inits(monkeypatch):
+    """Counts Mat2 constructions made after the fixture is set up."""
+    calls = []
+    init = Mat2.__init__
+
+    def counted(self, *entries):
+        calls.append(entries)
+        init(self, *entries)
+
+    monkeypatch.setattr(Mat2, "__init__", counted)
     return calls
 
 
