@@ -6,106 +6,78 @@ target, in exact arithmetic.  Supported fields: the rationals, GF(p),
 GF(p^k), and the non-perfect GF(2)(x) where the story genuinely changes.
 A brute-force oracle over small finite fields double-checks both
 directions independently of the constructive solver.
+
+Importing the package loads none of its submodules: each public name
+below is imported from its submodule on first access (PEP 562).
 """
 
-from .errors import (
-    ArityMismatchError,
-    CharacteristicError,
-    FieldMismatchError,
-    FieldTooLargeError,
-    InfiniteFieldError,
-    NotASquareError,
-    NotUniversalFormError,
-    ParseError,
-    ZeroCoefficientError,
-)
-from .fields import (
-    ExtensionField,
-    Field,
-    FieldElement,
-    PrimeField,
-    RationalFunctionField2,
-    Rationals,
-    field_from_string,
-    is_prime,
-)
-from .matrices import DiagonalForm, Mat2
-from .oracle import (
-    MAX_ORDER,
-    SWEEP_MAX_ORDER,
-    SquareSet,
-    all_matrices,
-    build_square_set,
-    check_universal_exhaustive,
-    first_solution,
-    first_unrepresentable,
-    representable_two_term,
-)
-from .solver import (
-    Decomposition,
-    decompose,
-    decompose_pair_char2,
-    decompose_pair_odd_char,
-)
-from .universality import (
-    NOT_UNIVERSAL,
-    UNDECIDED,
-    UNIVERSAL,
-    SingleTermExplanation,
-    UniversalityVerdict,
-    decide_universality,
-    f2x_counterexample,
-    f2x_necessary_condition,
-    lee_criterion,
-    nilpotent_witness,
-    single_term_witness,
-)
+import importlib
+
+# public name -> the submodule that defines it, in __all__ order
+_EXPORTS = {
+    "ArityMismatchError": "errors",
+    "CharacteristicError": "errors",
+    "FieldMismatchError": "errors",
+    "FieldTooLargeError": "errors",
+    "InfiniteFieldError": "errors",
+    "NotASquareError": "errors",
+    "NotUniversalFormError": "errors",
+    "ParseError": "errors",
+    "ZeroCoefficientError": "errors",
+    "ExtensionField": "fields",
+    "Field": "fields",
+    "FieldElement": "fields",
+    "PrimeField": "fields",
+    "RationalFunctionField2": "fields",
+    "Rationals": "fields",
+    "field_from_string": "fields",
+    "is_prime": "fields",
+    "DiagonalForm": "matrices",
+    "Mat2": "matrices",
+    "MAX_ORDER": "oracle",
+    "SWEEP_MAX_ORDER": "oracle",
+    "SquareSet": "oracle",
+    "all_matrices": "oracle",
+    "build_square_set": "oracle",
+    "check_universal_exhaustive": "oracle",
+    "first_solution": "oracle",
+    "first_unrepresentable": "oracle",
+    "representable_two_term": "oracle",
+    "Decomposition": "solver",
+    "decompose": "solver",
+    "decompose_pair_char2": "solver",
+    "decompose_pair_odd_char": "solver",
+    "NOT_UNIVERSAL": "universality",
+    "UNDECIDED": "universality",
+    "UNIVERSAL": "universality",
+    "SingleTermExplanation": "universality",
+    "UniversalityVerdict": "universality",
+    "decide_universality": "universality",
+    "f2x_counterexample": "universality",
+    "f2x_necessary_condition": "universality",
+    "lee_criterion": "integer_forms",
+    "nilpotent_witness": "universality",
+    "single_term_witness": "universality",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArityMismatchError",
-    "CharacteristicError",
-    "FieldMismatchError",
-    "FieldTooLargeError",
-    "InfiniteFieldError",
-    "NotASquareError",
-    "NotUniversalFormError",
-    "ParseError",
-    "ZeroCoefficientError",
-    "ExtensionField",
-    "Field",
-    "FieldElement",
-    "PrimeField",
-    "RationalFunctionField2",
-    "Rationals",
-    "field_from_string",
-    "is_prime",
-    "DiagonalForm",
-    "Mat2",
-    "MAX_ORDER",
-    "SWEEP_MAX_ORDER",
-    "SquareSet",
-    "all_matrices",
-    "build_square_set",
-    "check_universal_exhaustive",
-    "first_solution",
-    "first_unrepresentable",
-    "representable_two_term",
-    "Decomposition",
-    "decompose",
-    "decompose_pair_char2",
-    "decompose_pair_odd_char",
-    "NOT_UNIVERSAL",
-    "UNDECIDED",
-    "UNIVERSAL",
-    "SingleTermExplanation",
-    "UniversalityVerdict",
-    "decide_universality",
-    "f2x_counterexample",
-    "f2x_necessary_condition",
-    "lee_criterion",
-    "nilpotent_witness",
-    "single_term_witness",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:  # a submodule not imported yet, such as m2forms.polys
+        try:
+            return importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _EXPORTS.keys())

@@ -22,28 +22,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
+# main's except clauses need only .errors; each command imports the modules it
+# runs, so one process loads only those
 from .errors import (
     FieldTooLargeError,
     InfiniteFieldError,
     NotASquareError,
     NotUniversalFormError,
     ParseError,
-)
-from .fields import field_from_string
-from .matrices import DiagonalForm, Mat2
-from .oracle import check_term_count, first_solution, first_unrepresentable
-from .solver import decompose
-from .universality import (
-    UNIVERSAL,
-    decide_universality,
-    f2x_counterexample,
-    f2x_necessary_condition,
-    lee_criterion,
 )
 
 EXIT_OK = 0
@@ -108,6 +98,9 @@ def _request(args, check=None):
 
     Parses --field, then --coeffs, which ``check`` vets, then --target.
     """
+    from .fields import field_from_string
+    from .matrices import DiagonalForm, Mat2
+
     field = field_from_string(args.field)
     parts = args.coeffs.split(",")
     if any(not part.strip() for part in parts):
@@ -125,6 +118,8 @@ def _request(args, check=None):
 
 def _emit(args, lines: list[str], payload: dict) -> None:
     if args.json:
+        import json
+
         print(json.dumps(payload))
     else:
         for line in lines:
@@ -136,6 +131,8 @@ def _matrix_lines(matrices) -> list[str]:
 
 
 def _cmd_decompose(args) -> int:
+    from .solver import decompose
+
     form, target, base = _request(args)
     try:
         result = decompose(form, target)
@@ -159,6 +156,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .matrices import Mat2
+
     form, target, echo = _request(args)
     matrices = [Mat2.parse(form.field, text) for text in args.matrices]
     value = form.evaluate(matrices)
@@ -173,6 +172,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_universal(args) -> int:
+    from .universality import UNIVERSAL, decide_universality
+
     form, _, echo = _request(args)
     verdict = decide_universality(form)
     if verdict.status == UNIVERSAL:
@@ -187,6 +188,8 @@ def _cmd_universal(args) -> int:
 
 
 def _cmd_universal_z(args) -> int:
+    from .integer_forms import lee_criterion
+
     coeffs = _parse_int_coeffs(args.coeffs)
     universal = lee_criterion(coeffs)
     _emit(
@@ -198,6 +201,8 @@ def _cmd_universal_z(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import check_term_count, first_solution, first_unrepresentable
+
     # terms before the target: too many terms is exit 4 whatever the target is
     form, target, base = _request(args, check_term_count)
     if target is not None:
@@ -225,6 +230,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from .solver import decompose
+    from .universality import f2x_counterexample, f2x_necessary_condition
+
     form, target = f2x_counterexample()
     trace_sum = target.trace()
     try:
@@ -263,7 +271,7 @@ _HANDLERS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -283,6 +291,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _report_error(args, kind: str, message: str) -> None:
     if getattr(args, "json", False):
+        import json
+
         print(json.dumps({"error": kind, "message": message}))
     else:
         print(f"error: {message}", file=sys.stderr)

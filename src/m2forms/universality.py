@@ -8,20 +8,17 @@ there are Undecided rather than overclaimed; a target-specific necessary
 condition (the trace sum must be a square) can still prove individual
 targets unreachable, and furnishes the stock counterexample.
 
-Also here: the classical arithmetic criterion for universality over the
-2x2 integer matrices (Lee's criterion), which needs no field at all.
+Universality over the 2x2 integer matrices (Lee's criterion) needs no
+field and lives in integer_forms.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from typing import Optional, Sequence
 
 from .errors import FieldMismatchError
 from .fields import FieldElement, RationalFunctionField2
 from .matrices import DiagonalForm, Mat2
-from . import oracle
 
 UNIVERSAL = "universal"
 NOT_UNIVERSAL = "not-universal"
@@ -39,7 +36,7 @@ class UniversalityVerdict(namedtuple("UniversalityVerdict", "status witness reas
 
     __slots__ = ()
 
-    def __new__(cls, status: str, witness: Optional[Mat2], reason: str):
+    def __new__(cls, status: str, witness: Mat2 | None, reason: str):
         if status == NOT_UNIVERSAL and witness is None:
             raise ValueError("a not-universal verdict needs a witness")
         return super().__new__(cls, status, witness, reason)
@@ -62,26 +59,6 @@ def decide_universality(form: DiagonalForm) -> UniversalityVerdict:
     return UniversalityVerdict(UNDECIDED, None, "non-perfect-field")
 
 
-def lee_criterion(coeffs: Sequence[int]) -> bool:
-    """Universality of sum(ai * Xi**2) over the 2x2 integer matrices.
-
-    True iff no prime divides all but at most one of the integer
-    coefficients (equivalently, every leave-one-out gcd is 1) and at
-    least three coefficients are not multiples of 4.  Zero counts as
-    divisible by everything, so the empty gcd fails.
-    """
-    coeffs = list(coeffs)
-    if not coeffs:
-        raise ValueError("need at least one coefficient")
-    for i in range(len(coeffs)):
-        rest = coeffs[:i] + coeffs[i + 1 :]
-        if math.gcd(*rest) != 1:
-            return False
-    if sum(1 for a in coeffs if a % 4 != 0) < 3:
-        return False
-    return True
-
-
 class SingleTermExplanation(
     namedtuple("SingleTermExplanation", "equations conclusion oracle_confirmed")
 ):
@@ -98,6 +75,8 @@ class SingleTermExplanation(
 
 def single_term_witness(a: FieldElement) -> tuple[Mat2, SingleTermExplanation]:
     """A matrix the form a*X**2 cannot represent, with the reasoning."""
+    from . import oracle
+
     field = a.field
     witness = nilpotent_witness(field)
     confirmed = None

@@ -1,7 +1,9 @@
 """Result records and error types: construction, equality, repr, immutability,
-copy and pickle round trips, and what importing the CLI costs."""
+copy and pickle round trips; the package's public names, and which modules
+importing it and running each CLI command load."""
 
 import copy
+import importlib
 import os
 import pickle
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import m2forms
 from m2forms import (
     NOT_UNIVERSAL,
     UNIVERSAL,
@@ -165,26 +168,111 @@ class TestErrorPickling:
             assert getattr(clone, name) == value
 
 
-def _modules_cli_import_loads(names):
-    """Which of ``names`` a fresh ``import m2forms.cli`` loads."""
-    code = (
+SUBMODULES = {f"m2forms.{path.stem}" for path in (ROOT / "src" / "m2forms").glob("*.py")} - {
+    "m2forms.__init__"
+}
+
+
+def _modules_loaded(names, code="import m2forms.cli", argv=None, flags=()):
+    """Which of ``names`` a fresh interpreter loads running ``code`` and then,
+    given ``argv``, that CLI command, which must exit 0."""
+    run = "" if argv is None else f"assert m2forms.cli.main({list(argv)!r}) == 0\n"
+    script = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import m2forms.cli\n"
+        f"{code}\n"
+        f"{run}"
         f"print(sorted({set(names)!r} & (set(sys.modules) - before)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.strip()
+    return result.stdout.splitlines()[-1]
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    assert _modules_cli_import_loads({"dataclasses", "inspect"}) == "[]"
+    assert _modules_loaded({"dataclasses", "inspect"}) == "[]"
 
 
 def test_cli_import_skips_fractions_and_decimal():
     # Q runs on int pairs; only Q(Fraction(...)) imports fractions
-    assert _modules_cli_import_loads({"fractions", "decimal"}) == "[]"
+    assert _modules_loaded({"fractions", "decimal"}) == "[]"
+
+
+def test_cli_import_skips_typing():
+    # -S: this interpreter's site may load typing before m2forms does
+    assert _modules_loaded({"typing"}, flags=["-S"]) == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    assert _modules_loaded(SUBMODULES, "import m2forms") == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["universal-z", "--coeffs", "1,1,1"], {"m2forms.fields", "m2forms.matrices"}),
+        (
+            ["decompose", "--field", "Q", "--coeffs", "1,1", "--target", "[[1,2],[3,4]]"],
+            {"m2forms.oracle", "m2forms.universality", "json"},
+        ),
+        (
+            ["oracle", "--field", "GF(3)", "--coeffs", "1,1", "--target", "[[1,2],[0,1]]"],
+            {"m2forms.solver"},
+        ),
+        (["universal", "--field", "GF(9)", "--coeffs", "t,1"], {"m2forms.solver"}),
+    ],
+    ids=["universal-z", "decompose", "oracle", "universal"],
+)
+def test_cli_command_loads_only_its_modules(argv, absent):
+    assert _modules_loaded(absent, argv=argv) == "[]"
+
+
+# every public name and the submodule that defines it, in __all__ order
+PUBLIC = [
+    ("errors", "ArityMismatchError CharacteristicError FieldMismatchError FieldTooLargeError "
+               "InfiniteFieldError NotASquareError NotUniversalFormError ParseError "
+               "ZeroCoefficientError"),
+    ("fields", "ExtensionField Field FieldElement PrimeField RationalFunctionField2 Rationals "
+               "field_from_string is_prime"),
+    ("matrices", "DiagonalForm Mat2"),
+    ("oracle", "MAX_ORDER SWEEP_MAX_ORDER SquareSet all_matrices build_square_set "
+               "check_universal_exhaustive first_solution first_unrepresentable "
+               "representable_two_term"),
+    ("solver", "Decomposition decompose decompose_pair_char2 decompose_pair_odd_char"),
+    ("universality", "NOT_UNIVERSAL UNDECIDED UNIVERSAL SingleTermExplanation UniversalityVerdict "
+                     "decide_universality f2x_counterexample f2x_necessary_condition"),
+    ("integer_forms", "lee_criterion"),
+    ("universality", "nilpotent_witness single_term_witness"),
+]
+PUBLIC_NAMES = [(module, name) for module, names in PUBLIC for name in names.split()]
+
+
+class TestPackageSurface:
+    def test_all_is_pinned(self):
+        assert m2forms.__all__ == [name for _, name in PUBLIC_NAMES] + ["__version__"]
+
+    def test_each_name_is_the_defining_modules_object(self):
+        for module, name in PUBLIC_NAMES:
+            defined = getattr(importlib.import_module(f"m2forms.{module}"), name)
+            assert getattr(m2forms, name) is defined, name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from m2forms import *", namespace)
+        for name in m2forms.__all__:
+            assert namespace[name] is getattr(m2forms, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            m2forms.no_such_name
+
+    def test_fresh_package_lists_names_without_loading_them(self):
+        code = "import m2forms\nassert set(m2forms.__all__) <= set(dir(m2forms))"
+        assert _modules_loaded(SUBMODULES, code) == "[]"
+
+    def test_fresh_package_resolves_submodules(self):
+        code = "import m2forms\nassert m2forms.fields.__name__ == 'm2forms.fields'"
+        assert _modules_loaded({"m2forms.fields", "m2forms.solver"}, code) == "['m2forms.fields']"
