@@ -60,30 +60,21 @@ def _payloads(matrix: Mat2) -> tuple:
 
 
 class SquareSet:
-    """The image set {coeff * X**2} over all 2x2 matrices of a small field.
+    """The image set {coeff * X**2} over all 2x2 matrices of a finite field.
 
-    Stored as a dict from the payload 4-tuple of each member to the
-    payload 4-tuple of its first X (in enumeration order), with the
-    field's payload -> element map.  ``first_preimage`` is that dict as
-    ``dict[Mat2, Mat2]`` in the same order, built on first read; its
-    keys are the members.  Membership looks up the payload key of a
+    ``first`` maps the payload 4-tuple of each member to the payload
+    4-tuple of its first X (in enumeration order); the field's canonical
+    elements rebuild matrices from payloads.  ``first_preimage`` is that
+    dict as ``dict[Mat2, Mat2]`` in the same order, built on first read;
+    its keys are the members.  Membership looks up the payload key of a
     ``Mat2`` over the set's own field.
     """
 
     __slots__ = ("field", "coeff", "_first", "_element", "_first_preimage")
 
-    def __init__(self, field: Field, coeff: FieldElement, first_preimage: dict[Mat2, Mat2]):
-        self.field, self.coeff, self._first_preimage = field, coeff, first_preimage
-        self._first = {_payloads(v): _payloads(x) for v, x in first_preimage.items()}
-        mats = (*first_preimage, *first_preimage.values())
-        self._element = {e.payload: e for m in mats for e in m.entries()}
-
-    @classmethod
-    def _of_payloads(cls, field: Field, coeff: FieldElement, first: dict, element: dict) -> SquareSet:
-        squares = cls.__new__(cls)
-        squares.field, squares.coeff, squares._first_preimage = field, coeff, None
-        squares._first, squares._element = first, element
-        return squares
+    def __init__(self, field: Field, coeff: FieldElement, first: dict[tuple, tuple]):
+        self.field, self.coeff, self._first, self._first_preimage = field, coeff, first, None
+        self._element = {e.payload: e for e in field.elements()}
 
     def _matrix(self, payloads) -> Mat2:
         return Mat2(*map(self._element.__getitem__, payloads))
@@ -114,12 +105,11 @@ def build_square_set(field: Field, coeff) -> SquareSet:
     """
     _check_finite(field, MAX_ORDER)
     coeff = field(coeff)
-    element = {e.payload: e for e in field.elements()}
     if not coeff:  # 0 * X**2 == 0, first reached at the zero matrix
         zero = (field.zero().payload,) * 4
-        return SquareSet._of_payloads(field, coeff, {zero: zero}, element)
+        return SquareSet(field, coeff, {zero: zero})
     add, mul, k = field._add, field._mul, coeff.payload
-    payloads = list(element)
+    payloads = [e.payload for e in field.elements()]
     k_squares = [mul(k, mul(d, d)) for d in payloads]  # k*d^2 for each d
     first: dict[tuple, tuple] = {}  # payload 4-tuple of k*X^2 -> that of the first X
     for a, ka2 in zip(payloads, k_squares):
@@ -133,7 +123,7 @@ def build_square_set(field: Field, coeff) -> SquareSet:
                     key = (e11, mul(kb, s), mul(kc, s), add(kd2, kbc))
                     if key not in first:
                         first[key] = (a, b, c, d)
-    return SquareSet._of_payloads(field, coeff, first, element)
+    return SquareSet(field, coeff, first)
 
 
 def representable_two_term(

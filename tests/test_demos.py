@@ -1,7 +1,8 @@
 """Every demo runs to completion in a fresh interpreter and prints its golden output.
 
-The files under tests/golden/ are each demo's stdout; the demos are
-deterministic, so a change that alters any of it shows up here.
+Every ``demos/*.py`` is collected, and tests/golden/<demo>.txt holds its
+stdout; the demos are deterministic, so a change that alters any of it
+shows up here, and a demo without a golden file fails.
 """
 
 import os
@@ -12,14 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = [
-    "decompose_rationals.py",
-    "field_tour.py",
-    "frobenius_and_roots.py",
-    "non_perfect_counterexample.py",
-    "oracle_sweeps.py",
-    "universality_verdicts.py",
-]
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -236,7 +236,7 @@ class TestPayloadKeys:
 
     @pytest.mark.parametrize("other", [0, None, "[[0,0],[0,0]]"], ids=["int", "None", "str"])
     def test_non_matrix_not_in(self, other):
-        zero = Mat2.zero(GF2)
+        zero = (0, 0, 0, 0)  # payload 4-tuple of the zero matrix over GF(2)
         for squares in (
             build_square_set(GF2, 1),
             build_square_set(GF7, 0),

@@ -139,9 +139,9 @@ class TestSquareSet:
         assert x.square() == Mat2.identity(GF2)
 
     def test_direct_construction(self):
-        preimages = {Mat2.zero(GF2): Mat2.zero(GF2)}
-        squares = SquareSet(GF2, GF2(0), preimages)
-        assert squares.first_preimage is preimages
+        zero = (0, 0, 0, 0)  # payload 4-tuple of the zero matrix over GF(2)
+        squares = SquareSet(GF2, GF2(0), {zero: zero})
+        assert squares.first_preimage == {Mat2.zero(GF2): Mat2.zero(GF2)}
         assert list(squares.members) == [Mat2.zero(GF2)]
         assert Mat2.zero(GF2) in squares
         assert Mat2.identity(GF2) not in squares
