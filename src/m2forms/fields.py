@@ -6,11 +6,13 @@ so that equality of payloads is equality in the field:
   Rationals               reduced fractions n/d as int pairs (n, d), d > 0
   PrimeField(p)           residues in [0, p)
   ExtensionField(p, k)    polynomials of degree < k modulo a monic
-                          irreducible modulus: for p = 2 and odd q <= 25
-                          the int sum(c_i * w_i) over the coefficients c_i
-                          of t^i, w_i = 2**i or p**(k-1-i), multiplied on
-                          log/antilog tables; odd q > 25 are ascending
-                          coefficient tuples over GF(p) (see polys)
+                          irreducible modulus, every hook bound per
+                          descriptor by ``_build``: for p = 2 and odd
+                          q <= 25 the int sum(c_i * w_i) over the
+                          coefficients c_i of t^i, w_i = 2**i or
+                          p**(k-1-i), multiplied on log/antilog tables;
+                          odd q > 25 ascending coefficient tuples over
+                          GF(p) (see polys)
   RationalFunctionField2  quotients of GF(2)[x] polynomials in lowest
                           terms, packed into int pairs (see gf2x)
 
@@ -594,19 +596,22 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """GF(p^k) as polynomials modulo a monic irreducible of degree k.
 
-    For p = 2 and for odd q <= 25 a payload is the int sum(c_i * w_i)
-    over the coefficients c_i of t^i, and one binder, ``_bind_ints``,
-    serves both weight schemes: it parses and indexes through the tuple
-    hooks, renders the digits, and multiplies and inverts on log/antilog
-    tables.  p = 2 passes w_i = 2**i, so a payload is its ``elements()``
-    index, add and sub are xor and neg is the identity.  Odd p passes
-    w_i = p**(k-1-i), c0 the most significant digit, so int order is
-    tuple order and ``_sqrt``'s ``min(r, -r)`` keeps the root the tuples
-    gave; add, sub and neg are lookups in sum and negation tables.  Odd
-    q > 25 is an ascending coefficient tuple over GF(p) of degree < k,
-    run through polys.  ``_build`` binds one set of hooks per descriptor,
-    so no operation tests p or q.  ``modulus`` is the ascending tuple for
-    every p.
+    ``_build`` is the one binder: it binds every payload hook on the
+    descriptor as a closure over p, the modulus and any tables, so no
+    operation tests p or q and no hook reads an attribute when it runs.
+    One tuple multiply, one tuple parse and ``_digits``, which numbers
+    ``elements()``, serve every q.  Odd q > 25 keeps the tuples: a
+    payload is an ascending coefficient tuple over GF(p) of degree < k,
+    and the hooks are polys' operations on it.  For p = 2 and odd
+    q <= 25 a payload is the int sum(c_i * w_i) over the coefficients
+    c_i of t^i; parsing and indexing go through the tuples and then that
+    sum, and multiply and inverse read log/antilog tables that the tuple
+    multiply builds.  p = 2 takes w_i = 2**i, so a payload is its
+    ``elements()`` index, add and sub are xor and neg is the identity.
+    Odd p takes w_i = p**(k-1-i), c0 the most significant digit, so int
+    order is tuple order and ``_sqrt``'s ``min(r, -r)`` keeps the root
+    the tuples gave; add, sub and neg are lookups in sum and negation
+    tables.  ``modulus`` is the ascending tuple for every p.
 
     A default modulus is supplied for the small fields used throughout
     the tests; elsewhere one must be given (as an ascending tuple or as
@@ -647,15 +652,32 @@ class ExtensionField(Field):
         self.p = p
         self.k = k
         self.characteristic = p
-        self.order = p**k
+        self.order = q = p**k
         self.modulus = modulus
+
+        def mul(a, b):
+            return polys.mod(polys.mul(a, b, p), modulus, p)
+
+        def parse(s):
+            return polys.mod(_parse_dense(s, p), modulus, p)
+
+        if p != 2 and q > _TABLE_MAX_ORDER:
+            self._from_int = lambda n: polys.normalize((n,), p)
+            self._add = lambda a, b: polys.add(a, b, p)
+            self._neg = lambda a: polys.neg(a, p)
+            self._mul = mul
+            self._inv = lambda a: polys.inv_mod(a, modulus, p)
+            self._payload_from_index = lambda i: _digits(i, p)
+            self._parse_payload = parse
+            self._render = lambda a: _render_poly(a, "t")
+            return
+
         if p == 2:
+            weights = [1 << i for i in range(k)]
             self._add = self._sub = operator.xor
             self._neg = operator.pos  # -a == a in characteristic 2
-            self._bind_ints([1 << i for i in range(k)])
-        elif self.order <= _TABLE_MAX_ORDER:
-            q, weights = self.order, [p ** (k - 1 - i) for i in range(k)]
-            self._bind_ints(weights)
+        else:
+            weights = [p ** (k - 1 - i) for i in range(k)]
             # addition is digit-wise mod p: plus[a][b] = a + b, minus[a] = -a
             plus = [[sum((a // w + b // w) % p * w for w in weights) for b in range(q)] for a in range(q)]
             minus = [row.index(0) for row in plus]  # -a is the b with a + b = 0
@@ -663,29 +685,18 @@ class ExtensionField(Field):
             self._sub = lambda a, b: plus[a][minus[b]]
             self._neg = minus.__getitem__
 
-    def _bind_ints(self, weights):
-        """Bind every int-payload hook but add, sub and neg, which differ.
-
-        A payload is sum(c_i * weights[i]) over the coefficients c_i of
-        t^i.  Parsing and ``elements()`` indexing go through the tuple
-        hooks and then that sum.  With g a generator of the multiplicative
-        group, exp[n] = g**n over 2(q-1) entries, so a sum of two logs
-        needs no modulo, and log inverts it (log[0] is None); ``_mul`` and
-        ``_inv`` read these tables, and division, powers and roots are
-        ``Field``'s over them.
-        """
-        p, q, one = self.p, self.order, weights[0]
-        q1 = q - 1
-
         def enc(v):  # an ascending coefficient tuple as its payload
             return sum(map(operator.mul, v, weights))
 
-        tuples = [ExtensionField._payload_from_index(self, i) for i in range(q)]
+        # exp[n] = g**n for a generator g over 2(q-1) entries, so a sum of
+        # two logs needs no modulo; log inverts it (log[0] is None)
+        q1, one = q - 1, weights[0]
+        tuples = [_digits(i, p) for i in range(q)]
         for g in tuples[p:]:  # from t on: the constants have order dividing p - 1
             exp, v = [], (1,)
             while True:  # g**0, g**1, ... until g**n is 1 again, so n is the order of g
                 exp.append(enc(v))
-                v = ExtensionField._mul(self, v, g)
+                v = mul(v, g)
                 if v == (1,):
                     break
             if len(exp) == q1:
@@ -697,7 +708,7 @@ class ExtensionField(Field):
 
         self._from_int = lambda n: n % p * one
         self._payload_from_index = list(map(enc, tuples)).__getitem__
-        self._parse_payload = lambda s: enc(ExtensionField._parse_payload(self, s))
+        self._parse_payload = lambda s: enc(parse(s))
         self._render = lambda a: _render_poly([a // w % p for w in weights], "t")
         self._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
         self._inv = lambda a: exp[q1 - log[a]]
@@ -708,33 +719,15 @@ class ExtensionField(Field):
     def __str__(self):
         return f"GF({self.p}^{self.k});modulus={_render_poly(self.modulus, 't')}"
 
-    def _from_int(self, n):
-        return polys.normalize((n,), self.p)
 
-    def _add(self, a, b):
-        return polys.add(a, b, self.p)
-
-    def _mul(self, a, b):
-        return polys.mod(polys.mul(a, b, self.p), self.modulus, self.p)
-
-    def _neg(self, a):
-        return polys.neg(a, self.p)
-
-    def _inv(self, a):
-        return polys.inv_mod(a, self.modulus, self.p)
-
-    def _payload_from_index(self, idx: int):
-        digits = []
-        while idx:
-            idx, rem = divmod(idx, self.p)
-            digits.append(rem)
-        return tuple(digits)
-
-    def _parse_payload(self, s):
-        return polys.mod(_parse_dense(s, self.p), self.modulus, self.p)
-
-    def _render(self, a):
-        return _render_poly(a, "t")
+def _digits(n: int, p: int) -> tuple:
+    """The base-p digits of n, least significant first: the ascending
+    coefficient tuple of the element ``elements()`` numbers n."""
+    digits = []
+    while n:
+        n, rem = divmod(n, p)
+        digits.append(rem)
+    return tuple(digits)
 
 
 def _parse_dense(s: str, p: int) -> tuple:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import accumulate
 
 
 def lee_criterion(coeffs: Sequence[int]) -> bool:
@@ -16,15 +17,16 @@ def lee_criterion(coeffs: Sequence[int]) -> bool:
     True iff no prime divides all but at most one of the integer
     coefficients (equivalently, every leave-one-out gcd is 1) and at
     least three coefficients are not multiples of 4.  Zero counts as
-    divisible by everything, so the empty gcd fails.
+    divisible by everything, so the empty gcd fails.  Each leave-one-out
+    gcd joins a prefix gcd and a suffix gcd, so m coefficients take O(m)
+    gcds.
     """
     coeffs = list(coeffs)
     if not coeffs:
         raise ValueError("need at least one coefficient")
-    for i in range(len(coeffs)):
-        rest = coeffs[:i] + coeffs[i + 1 :]
-        if math.gcd(*rest) != 1:
-            return False
-    if sum(1 for a in coeffs if a % 4 != 0) < 3:
+    # prefix[i] = gcd(coeffs[:i]) and suffix[i] = gcd(coeffs[i:])
+    prefix = list(accumulate(coeffs, math.gcd, initial=0))
+    suffix = list(accumulate(reversed(coeffs), math.gcd, initial=0))[::-1]
+    if any(math.gcd(prefix[i], suffix[i + 1]) != 1 for i in range(len(coeffs))):
         return False
-    return True
+    return sum(1 for a in coeffs if a % 4 != 0) >= 3

@@ -46,7 +46,11 @@ nilpotent_witness = Mat2.nilpotent
 
 
 def decide_universality(form: DiagonalForm) -> UniversalityVerdict:
-    """Decide whether ``form`` represents every 2x2 matrix over its field."""
+    """Decide whether ``form`` represents every 2x2 matrix over its field.
+
+    The perfect-field test matters only in characteristic 2, since the
+    odd-characteristic construction takes no square roots.
+    """
     nonzero = form.nonzero_indices()
     if len(nonzero) < 2:
         return UniversalityVerdict(

@@ -32,7 +32,7 @@ from m2forms import (
     is_prime,
     polys,
 )
-from m2forms.fields import _FIELDS, _prime_power, _render_poly
+from m2forms.fields import _FIELDS, _parse_dense, _prime_power, _render_poly
 
 Q = Rationals()
 GF2 = PrimeField(2)
@@ -656,6 +656,8 @@ class TestElementProtocol:
         assert Q(Fraction(1, 2)) == Q.parse("1/2")
         with pytest.raises(TypeError, match=r"cannot make a GF\(7\) element from Fraction"):
             GF7(Fraction(1, 2))
+        with pytest.raises(TypeError, match=r"^cannot make a Q element from 1\.5$"):
+            Q(1.5)
 
     def test_repr(self):
         assert repr(GF7(3)) == "GF(7)(3)"
@@ -693,8 +695,9 @@ class TestParseAndBoundErrors:
             (lambda: PrimeField(2**64 + 13), "prime fields above 2**64 are not supported"),
             (lambda: ExtensionField(2, 1), "extension degree must be at least 2"),
             (lambda: ExtensionField(101, 2), "supports degree <= 8 over p <= 97 only"),
+            (lambda: ExtensionField(4, 2), "4 is not prime"),
         ],
-        ids=["prime-above-2^64", "degree-1", "p-above-97"],
+        ids=["prime-above-2^64", "degree-1", "p-above-97", "p-not-prime"],
     )
     def test_constructor_bounds(self, make, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -926,7 +929,8 @@ class TestPackedOddExtension:
     @pytest.mark.parametrize("field", FIELDS[:3] + [GF27], ids=str)
     @pytest.mark.parametrize("text", ["t^4096", "+t", "-1", "3*t"])
     def test_unreduced_input(self, field, text):
-        reference = ExtensionField._parse_payload(field, text)  # the tuple path's parse
+        p, modulus = field.p, field.modulus
+        reference = polys.mod(_parse_dense(text, p), modulus, p)  # the tuple parse
         assert _odd_coeffs(field, field.parse(text).payload) == reference
         assert str(field.parse(text)) == _render_poly(reference, "t")
 
@@ -943,3 +947,33 @@ class TestPackedOddExtension:
     def test_gf9_root_of_t(self):
         # the root whose ascending coefficient tuple is the smaller of +/-r
         assert str(GF9.parse("t").sqrt()) == "2*t+1"
+
+
+class TestBinder:
+    """``ExtensionField._build`` binds every payload hook on the descriptor,
+    for every p and q, and the class itself defines none of them."""
+
+    HOOKS = {"_from_int", "_add", "_mul", "_neg", "_inv",
+             "_payload_from_index", "_parse_payload", "_render"}
+    FIELDS = [GF8, GF9, GF27, ExtensionField(97, 2, "t^2+5")]
+
+    def test_class_defines_no_hook(self):
+        methods = [name for name, attr in vars(ExtensionField).items()
+                   if callable(attr) or isinstance(attr, staticmethod)]
+        assert sorted(methods) == ["__repr__", "__str__", "_build", "_key"]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_descriptor_binds_every_hook(self, field):
+        assert self.HOOKS <= set(vars(field))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_hooks_read_no_descriptor_attribute(self, field):
+        # an uninterned copy whose p, k and modulus are gone after the build
+        bare = object.__new__(ExtensionField)
+        bare._build(*field._args)
+        del bare.p, bare.k, bare.modulus
+        t, two = bare._parse_payload("t"), bare._from_int(2)
+        assert bare._payload_from_index(field.p) == t
+        quotient = bare._mul(bare._add(t, two), bare._inv(bare._neg(t)))
+        expected = (field.parse("t") + 2) / -field.parse("t")
+        assert (quotient, bare._render(quotient)) == (expected.payload, str(expected))

@@ -1,7 +1,9 @@
 """Universality verdicts, the integer-matrix criterion, and the GF(2)(x) counterexample."""
 
 import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -135,6 +137,36 @@ class TestLeeCriterion:
             coeffs = [rng.randint(-12, 12) for _ in range(rng.randint(1, 5))]
             if not lee_criterion(coeffs):
                 assert not lee_criterion(coeffs + [0])
+
+    @staticmethod
+    def _quadratic_definition(coeffs):
+        """The criterion read literally: every leave-one-out list's gcd."""
+        return all(
+            math.gcd(*(coeffs[:i] + coeffs[i + 1 :])) == 1 for i in range(len(coeffs))
+        ) and sum(1 for a in coeffs if a % 4 != 0) >= 3
+
+    def test_matches_quadratic_definition(self):
+        rng = random.Random(15)
+        verdicts = set()
+        for _ in range(2000):
+            coeffs = [rng.randint(-30, 30) for _ in range(rng.randint(1, 8))]
+            if rng.random() < 0.5:  # a prime shared by all but maybe one
+                prime, spared = rng.choice([2, 3, 5, 7]), rng.randrange(len(coeffs) + 1)
+                coeffs = [c if i == spared else prime * c for i, c in enumerate(coeffs)]
+            verdict = lee_criterion(coeffs)
+            assert verdict is self._quadratic_definition(coeffs), coeffs
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("shared", [None, 3], ids=["coprime", "shared-prime"])
+    def test_linear_time(self, shared):
+        rng = random.Random(16)
+        coeffs = [rng.randint(1, 10**6) for _ in range(50_000)]
+        if shared:  # the one coefficient left out of the shared prime comes last
+            coeffs = [shared * c for c in coeffs[:-1]] + [shared * coeffs[-1] + 1]
+        start = time.perf_counter()
+        assert lee_criterion(coeffs) is (shared is None)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestSingleTermWitness:
