@@ -10,8 +10,8 @@ so that equality of payloads is equality in the field:
                           descriptor by ``_build``: for p = 2 and odd
                           q <= 25 the int sum(c_i * w_i) over the
                           coefficients c_i of t^i, w_i = 2**i or
-                          p**(k-1-i), multiplied on log/antilog tables;
-                          odd q > 25 ascending coefficient tuples over
+                          p**(k-1-i), run on log/antilog tables; odd
+                          q > 25 ascending coefficient tuples over
                           GF(p) (see polys)
   RationalFunctionField2  quotients of GF(2)[x] polynomials in lowest
                           terms, packed into int pairs (see gf2x)
@@ -25,11 +25,12 @@ characteristic-2 solver reports via NotASquareError.
 
 Each family writes its own payload hooks.  ``Field`` supplies the shared
 ones once: ``_sub`` is ``a + (-b)``, ``_div`` and ``FieldElement.inv``
-refuse zero (so no ``_inv`` checks), ``_pow`` is square-and-multiply,
-``_is_zero`` is ``not a``, ``_render`` is ``str(a)``, and for the finite
-families ``elements``, ``random_element`` and ``sqrt`` run over
-``_payload_from_index``, which numbers the payloads 0..q-1 in canonical
-order.  ``_Fractions`` serves Q and F2(X).
+refuse zero (so no ``_inv`` checks), ``_pow`` is square-and-multiply
+unless a family binds its own (``PrimeField`` uses ``pow``, table fields
+use logs), ``_is_zero`` is ``not a``, ``_render`` is ``str(a)``, and for
+the finite families ``elements``, ``random_element`` and ``sqrt`` run
+over ``_payload_from_index``, which numbers the payloads 0..q-1 in
+canonical order.  ``_Fractions`` serves Q and F2(X).
 
 Descriptors are interned by class and normalized key, so every spelling
 of a field is one object and field equality is identity.
@@ -411,16 +412,12 @@ class Field:
     def _sqrt(self, a):
         """Square root in a finite field; the infinite families override it.
 
-        In characteristic 2, squaring is an automorphism of order k on
-        GF(2^k), so k - 1 more squarings invert it.  Otherwise this is
-        Tonelli-Shanks, and the smaller payload of the pair +/-r is
-        returned.
+        Tonelli-Shanks, returning the smaller payload of the pair +/-r.
+        For even q, q - 1 is odd, so s = 0 and both loops are empty:
+        Euler's test passes for every nonzero a, r = a**(q/2) is the
+        unique root, and min(r, -r) is r since negation is the identity.
         """
         q, mul, pow_ = self.order, self._mul, self._pow
-        if self.characteristic == 2:
-            for _ in range(q.bit_length() - 2):
-                a = mul(a, a)
-            return a
         if self._is_zero(a):
             return a
         one = self._from_int(1)
@@ -605,9 +602,9 @@ class ExtensionField(Field):
     and the hooks are polys' operations on it.  For p = 2 and odd
     q <= 25 a payload is the int sum(c_i * w_i) over the coefficients
     c_i of t^i; parsing and indexing go through the tuples and then that
-    sum, and multiply and inverse read log/antilog tables that the tuple
-    multiply builds.  p = 2 takes w_i = 2**i, so a payload is its
-    ``elements()`` index, add and sub are xor and neg is the identity.
+    sum, and multiply, inverse and power read log/antilog tables that
+    the tuple multiply builds.  p = 2 takes w_i = 2**i, so a payload is
+    its ``elements()`` index, add and sub are xor, neg is the identity.
     Odd p takes w_i = p**(k-1-i), c0 the most significant digit, so int
     order is tuple order and ``_sqrt``'s ``min(r, -r)`` keeps the root
     the tuples gave; add, sub and neg are lookups in sum and negation
@@ -712,6 +709,7 @@ class ExtensionField(Field):
         self._render = lambda a: _render_poly([a // w % p for w in weights], "t")
         self._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
         self._inv = lambda a: exp[q1 - log[a]]
+        self._pow = lambda a, e: exp[log[a] * e % q1] if a else (0 if e else one)
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"

@@ -9,11 +9,6 @@ smaller.  ``gcd`` is Euclid's algorithm with the remainder taken inline.
 """
 
 
-def degree(a):
-    """Degree of a, with degree(0) == -1."""
-    return a.bit_length() - 1
-
-
 def mul(a, b):
     """Product of packed polynomials a and b."""
     if a < b:

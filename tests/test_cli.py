@@ -422,7 +422,7 @@ class TestEntryPoints:
 
     def test_module_invocation(self):
         result = subprocess.run(
-            [sys.executable, "-m", "m2forms", "decompose", "--field", "Q",
+            [sys.executable, "-W", "error", "-m", "m2forms", "decompose", "--field", "Q",
              "--coeffs", "2,1", "--target", "[[1/5,2],[0,-1]]"],
             capture_output=True, text=True,
         )

@@ -2,10 +2,11 @@
 
 A case is an argv line ``$ m2forms ...`` in shell quoting, the expected
 stdout, and ``[exit N]``.  Blank lines separate cases, and ``#`` lines
-between cases are comments.  Each case runs ``python -m m2forms`` in
-this process's environment and current directory, with ``COLUMNS=120``
-added so that help text wraps the same on every supported Python, and
-must print nothing to stderr.  Under ``PYTHONPATH=src`` this checks the
+between cases are comments.  Each case runs ``python -W error -m
+m2forms`` in this process's environment and current directory, with
+``COLUMNS=120`` added so that help text wraps the same on every
+supported Python, and must print nothing to stderr; a warning the
+package raises fails the case.  Under ``PYTHONPATH=src`` this checks the
 source tree; run from outside the checkout with no ``PYTHONPATH``, it
 checks the installed package.  The timeout bounds the GF(16) queries.
 """
@@ -48,7 +49,7 @@ CASES = load_cases(TRANSCRIPT.read_text())
 @pytest.mark.parametrize("args, stdout, code", CASES, ids=[args for args, _, _ in CASES])
 def test_cli_transcript(args, stdout, code):
     result = subprocess.run(
-        [sys.executable, "-m", "m2forms", *shlex.split(args)],
+        [sys.executable, "-W", "error", "-m", "m2forms", *shlex.split(args)],
         env=dict(os.environ, COLUMNS="120"), capture_output=True, text=True, timeout=10,
     )
     assert (result.stdout, result.stderr, result.returncode) == (stdout, "", code)

@@ -20,7 +20,7 @@ DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr

@@ -285,6 +285,44 @@ class TestCanonicalSqrt:
         assert non_squares > 0
 
 
+class TestRootsAndPowers:
+    """One Tonelli-Shanks serves every finite field, and every power hook
+    (builtin pow, log tables, square-and-multiply) agrees with repeated
+    multiplication, checked by brute force over every element."""
+
+    FIELDS = [
+        GF2, GF4, GF8, ExtensionField(2, 4), ExtensionField(2, 8, "t^8+t^4+t^3+t+1"),
+        GF3, GF9, ExtensionField(5, 2), ExtensionField(3, 3), ExtensionField(7, 2, "t^2+1"),
+        PrimeField(97),
+    ]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_sqrt_matches_scan(self, field):
+        roots = {}
+        for x in field.elements():
+            roots.setdefault(x * x, []).append(x.payload)
+        for a in field.elements():
+            if a in roots:
+                assert a.sqrt().payload == min(roots[a])
+            else:
+                with pytest.raises(NotASquareError):
+                    a.sqrt()
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_pow_matches_repeated_multiplication(self, field):
+        q, big = field.order, 10**30 + 7
+        assert field.zero() ** 0 == field.one()
+        for a in field.elements():
+            powers = [field.one()]
+            for _ in range(2 * q):
+                powers.append(powers[-1] * a)
+            assert [a**e for e in range(2 * q + 1)] == powers
+            # a**(q-1) is 1 for nonzero a, so big reduces to an exponent in 1..q-1
+            assert a**big == powers[(big - 1) % (q - 1) + 1]
+            if a:
+                assert a**-1 * a == field.one()
+
+
 class TestRationalFunctionField:
     def test_add_reduces(self):
         a = F2X.parse("(x)/(x+1)")
@@ -394,7 +432,7 @@ class TestFieldFromString:
         # a child process, so that a factoring hang fails this test
         # instead of stalling the suite
         result = subprocess.run(
-            [sys.executable, "-m", "m2forms", "decompose", "--field", descriptor,
+            [sys.executable, "-W", "error", "-m", "m2forms", "decompose", "--field", descriptor,
              "--coeffs", "1,1", "--target", "[[1,0],[0,1]]"],
             capture_output=True, text=True, timeout=60,
         )
@@ -651,6 +689,29 @@ class TestElementProtocol:
     def test_unsupported_operands(self, op):
         with pytest.raises(TypeError, match="unsupported operand"):
             op()
+
+    @pytest.mark.parametrize(
+        "op, refused",
+        [
+            (lambda: GF5(1) - "x", True),
+            (lambda: "x" - GF5(1), True),
+            (lambda: GF5(1) / "x", True),
+            (lambda: "x" / GF5(1), True),
+            (lambda: GF5(1) == "x", False),
+            (lambda: Mat2.identity(GF5) - 1, True),
+            (lambda: Mat2.identity(GF5) * 1.5, True),
+            (lambda: Mat2.identity(GF5) == 1, False),
+            (lambda: DiagonalForm(GF5, [1, 1]) == "x", False),
+        ],
+        ids=["sub", "rsub", "truediv", "rtruediv", "eq", "mat-sub", "mat-mul", "mat-eq", "form-eq"],
+    )
+    def test_foreign_operands(self, op, refused):
+        # each operator returns NotImplemented, so Python refuses or compares identity
+        if refused:
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op()
+        else:
+            assert op() is False
 
     def test_fraction_construction(self):
         assert Q(Fraction(1, 2)) == Q.parse("1/2")
@@ -967,6 +1028,11 @@ class TestBinder:
         assert self.HOOKS <= set(vars(field))
 
     @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_table_fields_bind_pow(self, field):
+        # the tuple fields keep Field's square-and-multiply
+        assert ("_pow" in vars(field)) == (field.p == 2 or field.order <= 25)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
     def test_hooks_read_no_descriptor_attribute(self, field):
         # an uninterned copy whose p, k and modulus are gone after the build
         bare = object.__new__(ExtensionField)
@@ -977,3 +1043,4 @@ class TestBinder:
         quotient = bare._mul(bare._add(t, two), bare._inv(bare._neg(t)))
         expected = (field.parse("t") + 2) / -field.parse("t")
         assert (quotient, bare._render(quotient)) == (expected.payload, str(expected))
+        assert bare._pow(quotient, field.order + 3) == (expected ** (field.order + 3)).payload

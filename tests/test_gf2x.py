@@ -110,7 +110,7 @@ class TestKernel:
             b = poly(rng, rng.randrange(0, 150))
             q, r = gf2x.divmod_(a, b)
             assert a == gf2x.mul(q, b) ^ r
-            assert gf2x.degree(r) < gf2x.degree(b)
+            assert r.bit_length() < b.bit_length()
         with pytest.raises(ZeroDivisionError):
             gf2x.divmod_(5, 0)
 

@@ -186,7 +186,8 @@ def _modules_loaded(names, code="import m2forms.cli", argv=None, flags=()):
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-W", "error", *flags, "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1]
