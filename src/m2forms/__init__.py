@@ -24,11 +24,11 @@ _EXPORTS = {
     "NotUniversalFormError": "errors",
     "ParseError": "errors",
     "ZeroCoefficientError": "errors",
-    "ExtensionField": "fields",
+    "ExtensionField": "polys",
     "Field": "fields",
     "FieldElement": "fields",
     "PrimeField": "fields",
-    "RationalFunctionField2": "fields",
+    "RationalFunctionField2": "gf2x",
     "Rationals": "fields",
     "field_from_string": "fields",
     "is_prime": "fields",

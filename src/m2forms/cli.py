@@ -99,9 +99,11 @@ def _request(args, check=None):
     Parses --field, then --coeffs, which ``check`` vets, then --target.
     """
     from .fields import field_from_string
-    from .matrices import DiagonalForm, Mat2
 
     field = field_from_string(args.field)
+    # after the field parses, like each handler's imports: a bad descriptor exits 3 first
+    from .matrices import DiagonalForm, Mat2
+
     parts = args.coeffs.split(",")
     if any(not part.strip() for part in parts):
         raise ParseError("empty coefficient", args.coeffs, 0)
@@ -131,9 +133,9 @@ def _matrix_lines(matrices) -> list[str]:
 
 
 def _cmd_decompose(args) -> int:
+    form, target, base = _request(args)
     from .solver import decompose
 
-    form, target, base = _request(args)
     try:
         result = decompose(form, target)
     except NotUniversalFormError as exc:
@@ -156,9 +158,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    form, target, echo = _request(args)
     from .matrices import Mat2
 
-    form, target, echo = _request(args)
     matrices = [Mat2.parse(form.field, text) for text in args.matrices]
     value = form.evaluate(matrices)
     verified = value == target
@@ -172,9 +174,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_universal(args) -> int:
+    form, _, echo = _request(args)
     from .universality import UNIVERSAL, decide_universality
 
-    form, _, echo = _request(args)
     verdict = decide_universality(form)
     if verdict.status == UNIVERSAL:
         lines = ["Universal"]

@@ -1,4 +1,4 @@
-"""Exact arithmetic for the four supported field families.
+"""The field core, the Q and GF(p) families, and field descriptors.
 
 Four families are provided, each with a unique canonical form per element
 so that equality of payloads is equality in the field:
@@ -6,15 +6,14 @@ so that equality of payloads is equality in the field:
   Rationals               reduced fractions n/d as int pairs (n, d), d > 0
   PrimeField(p)           residues in [0, p)
   ExtensionField(p, k)    polynomials of degree < k modulo a monic
-                          irreducible modulus, every hook bound per
-                          descriptor by ``_build``: for p = 2 and odd
-                          q <= 25 the int sum(c_i * w_i) over the
-                          coefficients c_i of t^i, w_i = 2**i or
-                          p**(k-1-i), run on log/antilog tables; odd
-                          q > 25 ascending coefficient tuples over
-                          GF(p) (see polys)
+                          irreducible modulus, as packed ints on tables
+                          or as coefficient tuples (in polys)
   RationalFunctionField2  quotients of GF(2)[x] polynomials in lowest
-                          terms, packed into int pairs (see gf2x)
+                          terms, packed into int pairs (in gf2x)
+
+The last two sit beside their kernels: ``field_from_string`` imports polys
+or gf2x only for their descriptors, so a Q or GF(p) request compiles
+neither.
 
 Field objects are lightweight descriptors that double as element
 factories: ``GF5 = PrimeField(5); a = GF5(3)``.  Elements are immutable,
@@ -44,7 +43,6 @@ import re
 import threading
 import weakref
 
-from . import gf2x, polys
 from .errors import (
     CharacteristicError,
     FieldMismatchError,
@@ -60,30 +58,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _PRIME_BOUND = 2**64
 
-# Odd-p extension fields up to this order run on tables.  The tables pay
-# only when many operations share one build, as in the oracle's GF(9)
-# square sets or repeated decompositions: building GF(25)'s, a 625-entry
-# sum table among them, costs 0.4-0.5 ms more than a tuple-path field
-# (GF(9)'s 0.1 ms), what two decompositions save, and the cost grows with
-# q^2.  25 is the largest order a benchmark workload runs on.  p = 2 has
-# no cap: xor replaces the sum table, and its log tables hold at most 766
-# entries (GF(2^8)).
-_TABLE_MAX_ORDER = 25
-
 # (class, key) -> descriptor, while it or one of its elements is alive
 _FIELDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _FIELDS_LOCK = threading.Lock()
-
-# ascending coefficient tuples; reproducible defaults for small extensions
-_DEFAULT_MODULI = {
-    (2, 2): (1, 1, 1),  # t^2+t+1
-    (2, 3): (1, 1, 0, 1),  # t^3+t+1
-    (2, 4): (1, 1, 0, 0, 1),  # t^4+t+1
-    (2, 5): (1, 0, 1, 0, 0, 1),  # t^5+t^2+1
-    (3, 2): (1, 0, 1),  # t^2+1
-    (3, 3): (1, 2, 0, 1),  # t^3+2t+1
-    (5, 2): (1, 1, 1),  # t^2+t+1
-}
 
 
 def is_prime(n: int) -> bool:
@@ -590,268 +567,6 @@ class PrimeField(Field):
         return idx
 
 
-class ExtensionField(Field):
-    """GF(p^k) as polynomials modulo a monic irreducible of degree k.
-
-    ``_build`` is the one binder: it binds every payload hook on the
-    descriptor as a closure over p, the modulus and any tables, so no
-    operation tests p or q and no hook reads an attribute when it runs.
-    One tuple multiply, one tuple parse and ``_digits``, which numbers
-    ``elements()``, serve every q.  Odd q > 25 keeps the tuples: a
-    payload is an ascending coefficient tuple over GF(p) of degree < k,
-    and the hooks are polys' operations on it.  For p = 2 and odd
-    q <= 25 a payload is the int sum(c_i * w_i) over the coefficients
-    c_i of t^i; parsing and indexing go through the tuples and then that
-    sum, and multiply, inverse and power read log/antilog tables that
-    the tuple multiply builds.  p = 2 takes w_i = 2**i, so a payload is
-    its ``elements()`` index, add and sub are xor, neg is the identity.
-    Odd p takes w_i = p**(k-1-i), c0 the most significant digit, so int
-    order is tuple order and ``_sqrt``'s ``min(r, -r)`` keeps the root
-    the tuples gave; add, sub and neg are lookups in sum and negation
-    tables.  ``modulus`` is the ascending tuple for every p.
-
-    A default modulus is supplied for the small fields used throughout
-    the tests; elsewhere one must be given (as an ascending tuple or as
-    text in t).  Irreducibility is verified, which bounds supported
-    fields to degree at most 8 over p at most 97.
-    """
-
-    @staticmethod
-    def _key(p: int, k: int, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if k < 2:
-            raise ValueError("extension degree must be at least 2")
-        if p > 97 or k > 8:
-            raise ValueError(
-                "irreducibility checking supports degree <= 8 over p <= 97 only"
-            )
-        if modulus is None:
-            try:
-                modulus = _DEFAULT_MODULI[(p, k)]
-            except KeyError:
-                raise ValueError(
-                    f"no default modulus for GF({p}^{k}); pass one explicitly"
-                ) from None
-        if isinstance(modulus, str):
-            modulus = _parse_dense("".join(modulus.split()), p)
-        else:
-            modulus = polys.normalize(tuple(modulus), p)
-        return (p, k, modulus)
-
-    def _build(self, p, k, modulus):
-        if polys.degree(modulus) != k:
-            raise ValueError(f"modulus must have degree {k}")
-        if modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if not polys.is_irreducible(modulus, p):
-            raise ValueError(f"modulus {_render_poly(modulus, 't')} is reducible over GF({p})")
-        self.p = p
-        self.k = k
-        self.characteristic = p
-        self.order = q = p**k
-        self.modulus = modulus
-
-        def mul(a, b):
-            return polys.mod(polys.mul(a, b, p), modulus, p)
-
-        def parse(s):
-            return polys.mod(_parse_dense(s, p), modulus, p)
-
-        if p != 2 and q > _TABLE_MAX_ORDER:
-            self._from_int = lambda n: polys.normalize((n,), p)
-            self._add = lambda a, b: polys.add(a, b, p)
-            self._neg = lambda a: polys.neg(a, p)
-            self._mul = mul
-            self._inv = lambda a: polys.inv_mod(a, modulus, p)
-            self._payload_from_index = lambda i: _digits(i, p)
-            self._parse_payload = parse
-            self._render = lambda a: _render_poly(a, "t")
-            return
-
-        if p == 2:
-            weights = [1 << i for i in range(k)]
-            self._add = self._sub = operator.xor
-            self._neg = operator.pos  # -a == a in characteristic 2
-        else:
-            weights = [p ** (k - 1 - i) for i in range(k)]
-            # addition is digit-wise mod p: plus[a][b] = a + b, minus[a] = -a
-            plus = [[sum((a // w + b // w) % p * w for w in weights) for b in range(q)] for a in range(q)]
-            minus = [row.index(0) for row in plus]  # -a is the b with a + b = 0
-            self._add = lambda a, b: plus[a][b]
-            self._sub = lambda a, b: plus[a][minus[b]]
-            self._neg = minus.__getitem__
-
-        def enc(v):  # an ascending coefficient tuple as its payload
-            return sum(map(operator.mul, v, weights))
-
-        # exp[n] = g**n for a generator g over 2(q-1) entries, so a sum of
-        # two logs needs no modulo; log inverts it (log[0] is None)
-        q1, one = q - 1, weights[0]
-        tuples = [_digits(i, p) for i in range(q)]
-        for g in tuples[p:]:  # from t on: the constants have order dividing p - 1
-            exp, v = [], (1,)
-            while True:  # g**0, g**1, ... until g**n is 1 again, so n is the order of g
-                exp.append(enc(v))
-                v = mul(v, g)
-                if v == (1,):
-                    break
-            if len(exp) == q1:
-                break
-        exp += exp
-        log = [None] * q
-        for n in range(q1):
-            log[exp[n]] = n
-
-        self._from_int = lambda n: n % p * one
-        self._payload_from_index = list(map(enc, tuples)).__getitem__
-        self._parse_payload = lambda s: enc(parse(s))
-        self._render = lambda a: _render_poly([a // w % p for w in weights], "t")
-        self._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
-        self._inv = lambda a: exp[q1 - log[a]]
-        self._pow = lambda a, e: exp[log[a] * e % q1] if a else (0 if e else one)
-
-    def __repr__(self):
-        return f"GF({self.p}^{self.k})"
-
-    def __str__(self):
-        return f"GF({self.p}^{self.k});modulus={_render_poly(self.modulus, 't')}"
-
-
-def _digits(n: int, p: int) -> tuple:
-    """The base-p digits of n, least significant first: the ascending
-    coefficient tuple of the element ``elements()`` numbers n."""
-    digits = []
-    while n:
-        n, rem = divmod(n, p)
-        digits.append(rem)
-    return tuple(digits)
-
-
-def _parse_dense(s: str, p: int) -> tuple:
-    """Parse whitespace-free text in t as a normalized polynomial over GF(p)."""
-    coeffs = _parse_poly_text(s, "t", 0, len(s))
-    dense = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        dense[e] = c
-    return polys.normalize(dense, p)
-
-
-def _quo(a: int, g: int) -> int:
-    """Exact quotient of packed polynomials, for g dividing a."""
-    return a if g == 1 else gf2x.divmod_(a, g)[0]
-
-
-class RationalFunctionField2(_Fractions):
-    """GF(2)(x), rational functions over GF(2) in one variable.
-
-    Payloads are pairs of packed GF(2)[x] polynomials (see gf2x) in
-    lowest terms with nonzero denominator; that form is unique because
-    the only unit is 1.  This field has characteristic 2 but is not
-    perfect: x has no square root, so ``sqrt`` is partial and the
-    characteristic-2 solver can fail here, by design.
-    """
-
-    characteristic = 2
-    perfect = False
-    _gcd = staticmethod(gf2x.gcd)
-    _quo = staticmethod(_quo)
-    _root = staticmethod(gf2x.sqrt)
-
-    def __repr__(self):
-        return "F2(X)"
-
-    def _from_int(self, n):
-        return (n % 2, 1)
-
-    def _add(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        g = gf2x.gcd(d1, d2)
-        if g == 1:
-            return (gf2x.mul(n1, d2) ^ gf2x.mul(n2, d1), gf2x.mul(d1, d2))
-        s = _quo(d1, g)
-        t = gf2x.mul(n1, _quo(d2, g)) ^ gf2x.mul(n2, s)
-        g = gf2x.gcd(t, g)
-        return (_quo(t, g), gf2x.mul(s, _quo(d2, g)))
-
-    _sub = _add  # characteristic 2
-
-    def _mul(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        g1, g2 = gf2x.gcd(n1, d2), gf2x.gcd(n2, d1)
-        return (gf2x.mul(_quo(n1, g1), _quo(n2, g2)), gf2x.mul(_quo(d1, g2), _quo(d2, g1)))
-
-    def _neg(self, a):
-        return a
-
-    def _inv(self, a):
-        return (a[1], a[0])
-
-    def _parse_payload(self, s):
-        depth = 0
-        slash = -1
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    raise ParseError("unbalanced ')'", s, i)
-            elif ch == "/" and depth == 0:
-                slash = i
-                break
-        if slash == -1:
-            if depth != 0:
-                raise ParseError("unbalanced '('", s, len(s) - 1)
-            return self._reduce(_parse_poly_bits(s, *_strip_parens(s, 0, len(s))), 1)
-        den = _parse_poly_bits(s, *_strip_parens(s, slash + 1, len(s)))
-        if den == 0:
-            raise ParseError("zero denominator", s, slash + 1)
-        return self._reduce(_parse_poly_bits(s, *_strip_parens(s, 0, slash)), den)
-
-    def _render(self, a):
-        num, den = a
-        num_text = _render_bits(num, "x")
-        if den == 1:
-            return num_text
-        return f"({num_text})/({_render_bits(den, 'x')})"
-
-    def random_element(self, rng) -> FieldElement:
-        num = rng.randrange(32)  # numerator and denominator of degree <= 4
-        den = 0
-        while den == 0:
-            den = rng.randrange(32)
-        return FieldElement(self, self._reduce(num, den))
-
-
-def _strip_parens(s: str, start: int, end: int) -> tuple[int, int]:
-    """The bounds of ``s[start:end]`` less one pair of parens spanning all of it."""
-    if end - start >= 2 and s[start] == "(" and s[end - 1] == ")":
-        depth = 0
-        for i in range(start, end):
-            if s[i] == "(":
-                depth += 1
-            elif s[i] == ")":
-                depth -= 1
-                if depth == 0 and i != end - 1:
-                    return start, end  # outer parens do not span the whole text
-        return start + 1, end - 1
-    return start, end
-
-
-def _parse_poly_bits(s: str, start: int, end: int) -> int:
-    """Parse whitespace-free ``s[start:end]`` in x as a packed GF(2)[x] polynomial."""
-    bits = 0
-    for e, c in _parse_poly_text(s, "x", start, end).items():
-        if c % 2:
-            bits |= 1 << e
-    return bits
-
-
-def _render_bits(bits: int, var: str) -> str:
-    return _render_poly([(bits >> e) & 1 for e in range(bits.bit_length())], var)
-
-
 _FIELD_RE = re.compile(r"^GF\(([0-9]+)(?:\^([0-9]+))?\)(?:;modulus=(.+))?$")
 
 
@@ -878,6 +593,8 @@ def field_from_string(text: str) -> Field:
     if s == "Q":
         return Rationals()
     if s == "F2(X)":
+        from .gf2x import RationalFunctionField2
+
         return RationalFunctionField2()
     m = _FIELD_RE.match(s)
     if not m:
@@ -902,6 +619,8 @@ def field_from_string(text: str) -> Field:
             if modulus is not None:
                 raise ParseError("prime fields take no modulus", text, 0)
             return PrimeField(p)
+        from .polys import ExtensionField
+
         return ExtensionField(p, k, modulus)
     except ValueError as exc:
         if isinstance(exc, ParseError):

@@ -1,12 +1,18 @@
-"""Polynomials over GF(2) packed into Python integers.
+"""Polynomials over GF(2) packed into Python integers, and the F2(X) family.
 
 The polynomial b_n x^n + ... + b_1 x + b_0 is stored as the integer with
 bit i equal to b_i, so addition is xor and the zero polynomial is 0.
-All functions here take and return plain ints.
+The kernel functions take and return plain ints.
 
 ``mul`` adds one shifted copy of the larger operand per set bit of the
 smaller.  ``gcd`` is Euclid's algorithm with the remainder taken inline.
+
+``RationalFunctionField2`` sits here beside its kernel, so that only the
+F2(X) descriptor makes ``fields.field_from_string`` compile it.
 """
+
+from .errors import ParseError
+from .fields import FieldElement, _Fractions, _parse_poly_text, _render_poly
 
 
 def mul(a, b):
@@ -60,3 +66,118 @@ def sqrt(a):
         a >>= 1
         i += 1
     return root
+
+
+def _quo(a: int, g: int) -> int:
+    """Exact quotient of packed polynomials, for g dividing a."""
+    return a if g == 1 else divmod_(a, g)[0]
+
+
+class RationalFunctionField2(_Fractions):
+    """GF(2)(x), rational functions over GF(2) in one variable.
+
+    Payloads are pairs of the packed GF(2)[x] polynomials above in
+    lowest terms with nonzero denominator; that form is unique because
+    the only unit is 1.  This field has characteristic 2 but is not
+    perfect: x has no square root, so ``sqrt`` is partial and the
+    characteristic-2 solver can fail here, by design.
+    """
+
+    characteristic = 2
+    perfect = False
+    _gcd = staticmethod(gcd)
+    _quo = staticmethod(_quo)
+    _root = staticmethod(sqrt)
+
+    def __repr__(self):
+        return "F2(X)"
+
+    def _from_int(self, n):
+        return (n % 2, 1)
+
+    def _add(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        g = gcd(d1, d2)
+        if g == 1:
+            return (mul(n1, d2) ^ mul(n2, d1), mul(d1, d2))
+        s = _quo(d1, g)
+        t = mul(n1, _quo(d2, g)) ^ mul(n2, s)
+        g = gcd(t, g)
+        return (_quo(t, g), mul(s, _quo(d2, g)))
+
+    _sub = _add  # characteristic 2
+
+    def _mul(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        g1, g2 = gcd(n1, d2), gcd(n2, d1)
+        return (mul(_quo(n1, g1), _quo(n2, g2)), mul(_quo(d1, g2), _quo(d2, g1)))
+
+    def _neg(self, a):
+        return a
+
+    def _inv(self, a):
+        return (a[1], a[0])
+
+    def _parse_payload(self, s):
+        depth = 0
+        slash = -1
+        for i, ch in enumerate(s):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth < 0:
+                    raise ParseError("unbalanced ')'", s, i)
+            elif ch == "/" and depth == 0:
+                slash = i
+                break
+        if slash == -1:
+            if depth != 0:
+                raise ParseError("unbalanced '('", s, len(s) - 1)
+            return self._reduce(_parse_poly_bits(s, *_strip_parens(s, 0, len(s))), 1)
+        den = _parse_poly_bits(s, *_strip_parens(s, slash + 1, len(s)))
+        if den == 0:
+            raise ParseError("zero denominator", s, slash + 1)
+        return self._reduce(_parse_poly_bits(s, *_strip_parens(s, 0, slash)), den)
+
+    def _render(self, a):
+        num, den = a
+        num_text = _render_bits(num, "x")
+        if den == 1:
+            return num_text
+        return f"({num_text})/({_render_bits(den, 'x')})"
+
+    def random_element(self, rng) -> FieldElement:
+        num = rng.randrange(32)  # numerator and denominator of degree <= 4
+        den = 0
+        while den == 0:
+            den = rng.randrange(32)
+        return FieldElement(self, self._reduce(num, den))
+
+
+def _strip_parens(s: str, start: int, end: int) -> tuple[int, int]:
+    """The bounds of ``s[start:end]`` less one pair of parens spanning all of it."""
+    if end - start >= 2 and s[start] == "(" and s[end - 1] == ")":
+        depth = 0
+        for i in range(start, end):
+            if s[i] == "(":
+                depth += 1
+            elif s[i] == ")":
+                depth -= 1
+                if depth == 0 and i != end - 1:
+                    return start, end  # outer parens do not span the whole text
+        return start + 1, end - 1
+    return start, end
+
+
+def _parse_poly_bits(s: str, start: int, end: int) -> int:
+    """Parse whitespace-free ``s[start:end]`` in x as a packed GF(2)[x] polynomial."""
+    bits = 0
+    for e, c in _parse_poly_text(s, "x", start, end).items():
+        if c % 2:
+            bits |= 1 << e
+    return bits
+
+
+def _render_bits(bits: int, var: str) -> str:
+    return _render_poly([(bits >> e) & 1 for e in range(bits.bit_length())], var)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import FieldMismatchError
-from .fields import FieldElement, RationalFunctionField2
+from .fields import FieldElement
 from .matrices import DiagonalForm, Mat2
 
 UNIVERSAL = "universal"
@@ -111,6 +111,8 @@ def f2x_necessary_condition(target: Mat2) -> bool:
     diagonal entries, so False proves the target unrepresentable by the
     all-ones two-term form.  True proves nothing.
     """
+    from .gf2x import RationalFunctionField2
+
     if target.field != RationalFunctionField2():
         raise FieldMismatchError("this check applies over GF(2)(x) only")
     return target.trace().is_square()
@@ -123,6 +125,8 @@ def f2x_counterexample() -> tuple[DiagonalForm, Mat2]:
     whose diagonal sum x is not a square there; the form is universal
     over every perfect field yet cannot reach this target.
     """
+    from .gf2x import RationalFunctionField2
+
     field = RationalFunctionField2()
     form = DiagonalForm(field, [1, 1])
     x = field.parse("x")

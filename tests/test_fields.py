@@ -32,7 +32,8 @@ from m2forms import (
     is_prime,
     polys,
 )
-from m2forms.fields import _FIELDS, _parse_dense, _prime_power, _render_poly
+from m2forms.fields import _FIELDS, _prime_power, _render_poly
+from m2forms.polys import _parse_dense
 
 Q = Rationals()
 GF2 = PrimeField(2)

@@ -173,10 +173,10 @@ SUBMODULES = {f"m2forms.{path.stem}" for path in (ROOT / "src" / "m2forms").glob
 }
 
 
-def _modules_loaded(names, code="import m2forms.cli", argv=None, flags=()):
+def _modules_loaded(names, code="import m2forms.cli", argv=None, flags=(), status=0):
     """Which of ``names`` a fresh interpreter loads running ``code`` and then,
-    given ``argv``, that CLI command, which must exit 0."""
-    run = "" if argv is None else f"assert m2forms.cli.main({list(argv)!r}) == 0\n"
+    given ``argv``, that CLI command, which must exit ``status``."""
+    run = "" if argv is None else f"assert m2forms.cli.main({list(argv)!r}) == {status}\n"
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -211,24 +211,40 @@ def test_package_import_loads_no_submodule():
     assert _modules_loaded(SUBMODULES, "import m2forms") == "[]"
 
 
+# the GF(p^k) and F2(X) families live beside their kernels, in polys and gf2x
+KERNELS = {"m2forms.polys", "m2forms.gf2x"}
+
+
 @pytest.mark.parametrize(
-    "argv, absent",
+    "argv, absent, status",
     [
-        (["universal-z", "--coeffs", "1,1,1"], {"m2forms.fields", "m2forms.matrices"}),
+        (["universal-z", "--coeffs", "1,1,1"], {"m2forms.fields", "m2forms.matrices"}, 0),
         (
             ["decompose", "--field", "Q", "--coeffs", "1,1", "--target", "[[1,2],[3,4]]"],
-            {"m2forms.oracle", "m2forms.universality", "json"},
+            {"m2forms.oracle", "m2forms.universality", "json", *KERNELS},
+            0,
         ),
         (
             ["oracle", "--field", "GF(3)", "--coeffs", "1,1", "--target", "[[1,2],[0,1]]"],
-            {"m2forms.solver"},
+            {"m2forms.solver", *KERNELS},
+            0,
         ),
-        (["universal", "--field", "GF(9)", "--coeffs", "t,1"], {"m2forms.solver"}),
+        (["universal", "--field", "GF(9)", "--coeffs", "t,1"], {"m2forms.solver", "m2forms.gf2x"}, 0),
+        (["counterexample"], {"m2forms.polys"}, 0),
+        (
+            ["decompose", "--field", "GF(6)", "--coeffs", "1,2", "--target", "[[1,2],[3,4]]"],
+            {"m2forms.matrices", "m2forms.solver", *KERNELS},
+            3,
+        ),
     ],
-    ids=["universal-z", "decompose", "oracle", "universal"],
+    ids=["universal-z", "decompose", "oracle", "universal", "counterexample", "malformed-field"],
 )
-def test_cli_command_loads_only_its_modules(argv, absent):
-    assert _modules_loaded(absent, argv=argv) == "[]"
+def test_cli_command_loads_only_its_modules(argv, absent, status):
+    assert _modules_loaded(absent, argv=argv, status=status) == "[]"
+
+
+def test_field_core_import_loads_no_family_kernel():
+    assert _modules_loaded(KERNELS, "import m2forms.fields") == "[]"
 
 
 # every public name and the submodule that defines it, in __all__ order
@@ -236,8 +252,10 @@ PUBLIC = [
     ("errors", "ArityMismatchError CharacteristicError FieldMismatchError FieldTooLargeError "
                "InfiniteFieldError NotASquareError NotUniversalFormError ParseError "
                "ZeroCoefficientError"),
-    ("fields", "ExtensionField Field FieldElement PrimeField RationalFunctionField2 Rationals "
-               "field_from_string is_prime"),
+    ("polys", "ExtensionField"),
+    ("fields", "Field FieldElement PrimeField"),
+    ("gf2x", "RationalFunctionField2"),
+    ("fields", "Rationals field_from_string is_prime"),
     ("matrices", "DiagonalForm Mat2"),
     ("oracle", "MAX_ORDER SWEEP_MAX_ORDER SquareSet all_matrices build_square_set "
                "check_universal_exhaustive first_solution first_unrepresentable "
