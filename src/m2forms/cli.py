@@ -13,7 +13,10 @@ Exit codes are stable: 0 for success or a Universal verdict, 2 for a
 negative verdict or an unsolvable target, 3 for malformed input, 4 when
 a resource bound (field enumeration limits) is exceeded.
 
-With --json each command prints a single JSON object instead of text.
+Each handler returns ``(code, lines, payload)`` and ``main`` alone prints:
+the lines, or with --json the payload as one JSON object. An error is an
+``error: <message>`` line on stderr, or with --json an ``{"error": kind,
+"message": ...}`` object on stdout. A closed stdout keeps the exit code.
 Matrices and elements appear as strings in the same grammar the parser
 accepts, so emitted output can be fed back in unchanged.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -93,88 +97,67 @@ def _parse_int_coeffs(text: str) -> list[int]:
     raise ParseError("expected an integer coefficient", text, 0)
 
 
-def _request(args, check=None):
-    """The form, the target (None without --target) and their JSON echo.
-
-    Parses --field, then --coeffs, which ``check`` vets, then --target.
-    """
+def _request(args):
+    """The form and its JSON echo. Parses --field, then --coeffs."""
     from .fields import field_from_string
 
     field = field_from_string(args.field)
     # after the field parses, like each handler's imports: a bad descriptor exits 3 first
-    from .matrices import DiagonalForm, Mat2
+    from .matrices import DiagonalForm
 
     parts = args.coeffs.split(",")
     if any(not part.strip() for part in parts):
         raise ParseError("empty coefficient", args.coeffs, 0)
     form = DiagonalForm(field, [field.parse(part) for part in parts])
-    if check is not None:
-        check(form.coeffs)
-    echo = {"field": str(field), "coeffs": [str(c) for c in form.coeffs]}
-    target = getattr(args, "target", None)
-    if target is not None:
-        target = Mat2.parse(field, target)
-        echo["target"] = str(target)
-    return form, target, echo
+    return form, {"field": str(field), "coeffs": [str(c) for c in form.coeffs]}
 
 
-def _emit(args, lines: list[str], payload: dict) -> None:
-    if args.json:
-        import json
+def _target(args, form, echo):
+    """Parse --target over the form's field and add it to the JSON echo."""
+    from .matrices import Mat2
 
-        print(json.dumps(payload))
-    else:
-        for line in lines:
-            print(line)
+    target = Mat2.parse(form.field, args.target)
+    echo["target"] = str(target)
+    return target
 
 
 def _matrix_lines(matrices) -> list[str]:
     return [f"X{i + 1} = {m}" for i, m in enumerate(matrices)]
 
 
-def _cmd_decompose(args) -> int:
-    form, target, base = _request(args)
+def _cmd_decompose(args):
+    form, base = _request(args)
+    target = _target(args, form, base)
     from .solver import decompose
 
     try:
         result = decompose(form, target)
     except NotUniversalFormError as exc:
-        _emit(
-            args,
-            [f"NotUniversalForm: {exc}", f"witness: {exc.witness}"],
-            base | {"error": "NotUniversalForm", "message": str(exc), "witness": str(exc.witness)},
-        )
-        return EXIT_NEGATIVE
+        lines = [f"NotUniversalForm: {exc}", f"witness: {exc.witness}"]
+        error = {"error": "NotUniversalForm", "message": str(exc), "witness": str(exc.witness)}
+        return EXIT_NEGATIVE, lines, base | error
     except NotASquareError as exc:
-        _emit(
-            args,
-            [f"NotASquare({exc.element})"],
-            base | {"error": "NotASquare", "element": str(exc.element)},
-        )
-        return EXIT_NEGATIVE
+        error = {"error": "NotASquare", "element": str(exc.element)}
+        return EXIT_NEGATIVE, [f"NotASquare({exc.element})"], base | error
     lines = [*_matrix_lines(result.matrices), "check: OK"]
-    _emit(args, lines, base | {"matrices": [str(m) for m in result.matrices], "verified": True})
-    return EXIT_OK
+    return EXIT_OK, lines, base | {"matrices": [str(m) for m in result.matrices], "verified": True}
 
 
-def _cmd_verify(args) -> int:
-    form, target, echo = _request(args)
+def _cmd_verify(args):
+    form, echo = _request(args)
+    target = _target(args, form, echo)
     from .matrices import Mat2
 
     matrices = [Mat2.parse(form.field, text) for text in args.matrices]
     value = form.evaluate(matrices)
     verified = value == target
     lines = ["check: OK"] if verified else ["check: FAIL", f"value: {value}"]
-    _emit(
-        args,
-        lines,
-        echo | {"matrices": [str(m) for m in matrices], "value": str(value), "verified": verified},
-    )
-    return EXIT_OK if verified else EXIT_NEGATIVE
+    echo |= {"matrices": [str(m) for m in matrices], "value": str(value), "verified": verified}
+    return (EXIT_OK if verified else EXIT_NEGATIVE), lines, echo
 
 
-def _cmd_universal(args) -> int:
-    form, _, echo = _request(args)
+def _cmd_universal(args):
+    form, echo = _request(args)
     from .universality import UNIVERSAL, decide_universality
 
     verdict = decide_universality(form)
@@ -185,53 +168,44 @@ def _cmd_universal(args) -> int:
     else:
         lines = [f"Undecided ({verdict.reason})"]
     witness = None if verdict.witness is None else str(verdict.witness)
-    _emit(args, lines, echo | {"status": verdict.status, "witness": witness, "reason": verdict.reason})
-    return EXIT_OK if verdict.status == UNIVERSAL else EXIT_NEGATIVE
+    echo |= {"status": verdict.status, "witness": witness, "reason": verdict.reason}
+    return (EXIT_OK if verdict.status == UNIVERSAL else EXIT_NEGATIVE), lines, echo
 
 
-def _cmd_universal_z(args) -> int:
+def _cmd_universal_z(args):
     from .integer_forms import lee_criterion
 
     coeffs = _parse_int_coeffs(args.coeffs)
-    universal = lee_criterion(coeffs)
-    _emit(
-        args,
-        ["Universal" if universal else "NotUniversal"],
-        {"coeffs": coeffs, "universal": universal},
-    )
-    return EXIT_OK if universal else EXIT_NEGATIVE
+    if lee_criterion(coeffs):
+        return EXIT_OK, ["Universal"], {"coeffs": coeffs, "universal": True}
+    return EXIT_NEGATIVE, ["NotUniversal"], {"coeffs": coeffs, "universal": False}
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
+    form, base = _request(args)
     from .oracle import check_term_count, first_solution, first_unrepresentable
 
     # terms before the target: too many terms is exit 4 whatever the target is
-    form, target, base = _request(args, check_term_count)
-    if target is not None:
+    check_term_count(form.coeffs)
+    if args.target is not None:
+        target = _target(args, form, base)
         found = first_solution(form.coeffs, target, form.field)
         if found is None:
-            _emit(args, ["unrepresentable"], base | {"representable": False, "matrices": None})
-            return EXIT_NEGATIVE
+            base |= {"representable": False, "matrices": None}
+            return EXIT_NEGATIVE, ["unrepresentable"], base
         lines = [*_matrix_lines(found), "representable"]
-        _emit(args, lines, base | {"representable": True, "matrices": [str(m) for m in found]})
-        return EXIT_OK
+        return EXIT_OK, lines, base | {"representable": True, "matrices": [str(m) for m in found]}
 
     counterexample = first_unrepresentable(form.coeffs, form.field)
-    universal = counterexample is None
     total = form.field.order**4
-    base |= {"targets": total, "universal": universal}
-    if universal:
-        _emit(args, [f"all {total} targets representable"], base | {"counterexample": None})
-        return EXIT_OK
-    _emit(
-        args,
-        [f"not universal; first unrepresentable target: {counterexample}"],
-        base | {"counterexample": str(counterexample)},
-    )
-    return EXIT_NEGATIVE
+    base |= {"targets": total, "universal": counterexample is None}
+    if counterexample is None:
+        return EXIT_OK, [f"all {total} targets representable"], base | {"counterexample": None}
+    lines = [f"not universal; first unrepresentable target: {counterexample}"]
+    return EXIT_NEGATIVE, lines, base | {"counterexample": str(counterexample)}
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args):
     from .solver import decompose
     from .universality import f2x_counterexample, f2x_necessary_condition
 
@@ -259,8 +233,7 @@ def _cmd_counterexample(args) -> int:
         "trace_sum_is_square": f2x_necessary_condition(target),
         "decompose_error": f"NotASquare({failing})",
     }
-    _emit(args, lines, payload)
-    return EXIT_OK
+    return EXIT_OK, lines, payload
 
 
 _HANDLERS = {
@@ -274,30 +247,36 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except ParseError as exc:
-        _report_error(args, "ParseError", str(exc))
-        return EXIT_PARSE
-    except (FieldTooLargeError, InfiniteFieldError) as exc:
-        _report_error(args, type(exc).__name__.removesuffix("Error"), str(exc))
-        return EXIT_LIMIT
-    except ValueError as exc:
-        # remaining ValueErrors (arity, field mismatch, bad modulus) are
-        # malformed requests, same class as parse failures
-        _report_error(args, "BadRequest", str(exc))
-        return EXIT_PARSE
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # after --help or a usage error; a closed stdout fails the flush
+            code = exc.code
+            sys.stdout.flush()
+            raise
+        try:
+            code, lines, payload = _HANDLERS[args.command](args)
+        except (FieldTooLargeError, InfiniteFieldError) as exc:
+            kind = type(exc).__name__.removesuffix("Error")
+            code, lines, payload = EXIT_LIMIT, None, {"error": kind, "message": str(exc)}
+        except ValueError as exc:
+            # other ValueErrors (arity, field mismatch) are malformed requests, like parse failures
+            kind = "ParseError" if isinstance(exc, ParseError) else "BadRequest"
+            code, lines, payload = EXIT_PARSE, None, {"error": kind, "message": str(exc)}
+        if args.json:
+            import json
 
-
-def _report_error(args, kind: str, message: str) -> None:
-    if getattr(args, "json", False):
-        import json
-
-        print(json.dumps({"error": kind, "message": message}))
-    else:
-        print(f"error: {message}", file=sys.stderr)
+            print(json.dumps(payload))
+        elif lines is None:
+            print(f"error: {payload['message']}", file=sys.stderr)
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: keep the exit code, and send what is still
+        # buffered to devnull so that the flush at interpreter exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -383,6 +383,58 @@ class TestOracleExactOutput:
         assert run(capsys, "oracle", *argv) == (code, out, err)
 
 
+GF6 = "6 is not a prime power (at position 0 in 'GF(6)')"
+
+
+class TestErrorExactOutput:
+    """Without --json an error is one ``error:`` line on stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (
+                ["verify", "--field", "Q", "--coeffs", "2,1", "--target", "[[0,0],[0,0]]",
+                 "--matrices", "[[0,0],[0,0]]"], 3,
+                "error: form has 2 coefficients but got 1 matrices\n",
+            ),
+            (
+                ["decompose", "--field", "GF(6)", "--coeffs", "1,2", "--target", "[[1,2],[3,4]]"], 3,
+                f"error: {GF6}\n",
+            ),
+            (
+                ["oracle", "--field", "GF(6)", "--coeffs", "1,1", "--target", "[[1,2],[0,1]]"], 3,
+                f"error: {GF6}\n",
+            ),
+            (
+                ["universal", "--field", "GF(9);modulus=t^2+2", "--coeffs", "1,1"], 3,
+                "error: modulus t^2+2 is reducible over GF(3) "
+                "(at position 0 in 'GF(9);modulus=t^2+2')\n",
+            ),
+            (
+                ["universal", "--field", "Q", "--coeffs", "1,,2"], 3,
+                "error: empty coefficient (at position 0 in '1,,2')\n",
+            ),
+            (
+                ["decompose", "--field", "Q", "--coeffs", "1,1", "--target", "[[1,2],[3"], 3,
+                "error: expected ',' (at position 9 in '[[1,2],[3')\n",
+            ),
+            (
+                ["verify", "--field", "GF(3)", "--coeffs", "1", "--target", "[[0,0],[0,0]]",
+                 "--matrices", "[[0,0],[0,3/2]]"], 3,
+                "error: expected [-]digits (at position 0 in '3/2')\n",
+            ),
+            (
+                ["universal-z", "--coeffs", "1,x"], 3,
+                "error: expected an integer coefficient (at position 0 in '1,x')\n",
+            ),
+        ],
+        ids=["BadRequest", "ParseError-field", "ParseError-oracle-field", "ParseError-modulus",
+             "ParseError-coeffs", "ParseError-target", "ParseError-matrices", "ParseError-int"],
+    )
+    def test_output(self, capsys, argv, code, err):
+        assert run(capsys, *argv) == (code, "", err)
+
+
 class TestCounterexample:
     def test_narrative(self, capsys):
         code, out, _ = run(capsys, "counterexample")

@@ -9,6 +9,10 @@ supported Python, and must print nothing to stderr; a warning the
 package raises fails the case.  Under ``PYTHONPATH=src`` this checks the
 source tree; run from outside the checkout with no ``PYTHONPATH``, it
 checks the installed package.  The timeout bounds the GF(16) queries.
+
+A second test runs a few of these commands with stdout on a pipe whose
+read end is already closed, buffered and unbuffered: each must keep its
+exit code and print nothing to stderr.
 """
 
 import os
@@ -53,3 +57,30 @@ def test_cli_transcript(args, stdout, code):
         env=dict(os.environ, COLUMNS="120"), capture_output=True, text=True, timeout=10,
     )
     assert (result.stdout, result.stderr, result.returncode) == (stdout, "", code)
+
+
+CLOSED_STDOUT = [
+    ("universal-z --coeffs 1,1,1", 0),
+    ("universal-z --coeffs 1,1", 2),
+    ("oracle --field 'GF(5)' --coeffs 2,3 --json", 0),
+    ("--help", 0),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args, code", CLOSED_STDOUT, ids=[args for args, _ in CLOSED_STDOUT])
+def test_closed_stdout_keeps_the_exit_code(args, code, unbuffered):
+    env = dict(os.environ, COLUMNS="120")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "m2forms", *shlex.split(args)],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=10,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (code, "")

@@ -236,8 +236,14 @@ KERNELS = {"m2forms.polys", "m2forms.gf2x"}
             {"m2forms.matrices", "m2forms.solver", *KERNELS},
             3,
         ),
+        (
+            ["oracle", "--field", "GF(6)", "--coeffs", "1,1", "--target", "[[1,2],[0,1]]"],
+            {"m2forms.oracle", "m2forms.matrices", "m2forms.solver", *KERNELS},
+            3,
+        ),
     ],
-    ids=["universal-z", "decompose", "oracle", "universal", "counterexample", "malformed-field"],
+    ids=["universal-z", "decompose", "oracle", "universal", "counterexample", "malformed-field",
+         "malformed-oracle-field"],
 )
 def test_cli_command_loads_only_its_modules(argv, absent, status):
     assert _modules_loaded(absent, argv=argv, status=status) == "[]"
