@@ -247,11 +247,11 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    code = EXIT_OK  # --help, the only argparse output on stdout, exits 0
     try:
         try:
             args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # after --help or a usage error; a closed stdout fails the flush
-            code = exc.code
+        except SystemExit:  # after --help or a usage error; a closed stdout fails the flush
             sys.stdout.flush()
             raise
         try:
