@@ -16,14 +16,15 @@ a resource bound (field enumeration limits) is exceeded.
 Each handler returns ``(code, lines, payload)`` and ``main`` alone prints:
 the lines, or with --json the payload as one JSON object. An error is an
 ``error: <message>`` line on stderr, or with --json an ``{"error": kind,
-"message": ...}`` object on stdout. A closed stdout keeps the exit code.
-Matrices and elements appear as strings in the same grammar the parser
-accepts, so emitted output can be fed back in unchanged.
+"message": ...}`` object on stdout. A closed stdout or stderr keeps the
+exit code. Matrices and elements appear as strings in the same grammar the
+parser accepts, so emitted output can be fed back in unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import re
@@ -49,8 +50,10 @@ EXIT_LIMIT = 4
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; reserve 2 for negative verdicts
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+        # a closed stderr still exits 3: 3.10's argparse lets its BrokenPipeError escape
+        with contextlib.suppress(BrokenPipeError):
+            sys.stderr.write(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        raise SystemExit(EXIT_PARSE)
 
 
 @functools.cache  # built once per process: parsing leaves the parser unchanged
@@ -249,11 +252,7 @@ _HANDLERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     code = EXIT_OK  # --help, the only argparse output on stdout, exits 0
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit:  # after --help or a usage error; a closed stdout fails the flush
-            sys.stdout.flush()
-            raise
+        args = build_parser().parse_args(argv)
         try:
             code, lines, payload = _HANDLERS[args.command](args)
         except (FieldTooLargeError, InfiniteFieldError) as exc:
@@ -271,11 +270,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: {payload['message']}", file=sys.stderr)
         else:
             print("\n".join(lines))
-        sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout: keep the exit code, and send what is still
-        # buffered to devnull so that the flush at interpreter exit is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        pass  # the reader closed stdout or stderr: the exit code stands
+    finally:
+        # a stream whose reader is gone gets devnull for what it still buffers,
+        # so that the flush at interpreter exit is quiet too
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

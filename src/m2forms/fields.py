@@ -95,58 +95,40 @@ def _parse_int(digits: str, text: str, pos: int) -> int:
         raise ParseError("too many digits", text, pos) from None
 
 
-def _parse_poly_text(text: str, var: str, start: int, end: int) -> dict[int, int]:
+def _parse_poly_text(text: str, var: str, start: int, end: int) -> list[int]:
     """Parse ``text[start:end]`` as a sum of terms in ``var``.
 
     Terms look like ``5``, ``t``, ``t^3``, ``2*t`` and are joined by '+'
-    or '-'; digits are ASCII 0-9 only.  Returns accumulated signed
-    coefficients by exponent; callers reduce them into their own field.
-    Error positions are indices into the whole ``text``.
+    or '-'; digits are ASCII 0-9 only.  Returns the accumulated signed
+    coefficients in ascending degree; callers reduce them into their own
+    field.  Error positions are indices into the whole ``text``.
     """
-    s, n = text, end
-    if n == start:
+    if end == start:
         raise ParseError("empty polynomial", text, start)
-    coeffs: dict[int, int] = {}
+    # sign, coefficient, '*', then the variable with an optional '^' and exponent
+    term = re.compile(rf"([+-]?)([0-9]*)(\*?)(?:({var})(?:\^([0-9]*))?)?")
+    coeffs: list[int] = []
     i = start
-    first = True
-    while i < n:
-        sign = 1
-        if s[i] in "+-":
-            sign = -1 if s[i] == "-" else 1
-            i += 1
-        elif not first:
+    while i < end:
+        m = term.match(text, i, end)
+        sign, digits, star, has_var, exp_digits = m.groups()
+        if not sign and i > start:
             raise ParseError("expected '+' or '-'", text, i)
-        first = False
-        j = i
-        while j < n and "0" <= s[j] <= "9":
-            j += 1
-        coeff = _parse_int(s[i:j], text, i) if j > i else None
-        i = j
-        has_star = i < n and s[i] == "*"
-        if has_star:
-            i += 1
-        exp = 0
-        if i < n and s[i] == var:
-            i += 1
-            exp = 1
-            if i < n and s[i] == "^":
-                i += 1
-                j = i
-                while j < n and "0" <= s[j] <= "9":
-                    j += 1
-                if j == i:
-                    raise ParseError("expected exponent digits", text, i)
-                exp = _parse_int(s[i:j], text, i)
-                if exp > _MAX_EXPONENT:
-                    raise ParseError("exponent too large", text, i)
-                i = j
-        elif has_star:
-            raise ParseError(f"expected '{var}' after '*'", text, i)
-        if coeff is None:
-            if exp == 0:
-                raise ParseError("expected a term", text, i)
-            coeff = 1
-        coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
+        coeff = _parse_int(digits, text, m.start(2)) if digits else 1
+        if star and not has_var:
+            raise ParseError(f"expected '{var}' after '*'", text, m.end(3))
+        if exp_digits == "":
+            raise ParseError("expected exponent digits", text, m.start(5))
+        exp = 1 if has_var else 0
+        if exp_digits:
+            exp = _parse_int(exp_digits, text, m.start(5))
+            if exp > _MAX_EXPONENT:
+                raise ParseError("exponent too large", text, m.start(5))
+        if not (digits or exp):
+            raise ParseError("expected a term", text, m.end())
+        coeffs += [0] * (exp + 1 - len(coeffs))
+        coeffs[exp] += -coeff if sign == "-" else coeff
+        i = m.end()
     return coeffs
 
 

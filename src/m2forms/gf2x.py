@@ -172,11 +172,7 @@ def _strip_parens(s: str, start: int, end: int) -> tuple[int, int]:
 
 def _parse_poly_bits(s: str, start: int, end: int) -> int:
     """Parse whitespace-free ``s[start:end]`` in x as a packed GF(2)[x] polynomial."""
-    bits = 0
-    for e, c in _parse_poly_text(s, "x", start, end).items():
-        if c % 2:
-            bits |= 1 << e
-    return bits
+    return sum(1 << e for e, c in enumerate(_parse_poly_text(s, "x", start, end)) if c % 2)
 
 
 def _render_bits(bits: int, var: str) -> str:

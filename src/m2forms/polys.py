@@ -299,8 +299,4 @@ def _digits(n: int, p: int) -> tuple:
 
 def _parse_dense(s: str, p: int) -> tuple:
     """Parse whitespace-free text in t as a normalized polynomial over GF(p)."""
-    coeffs = _parse_poly_text(s, "t", 0, len(s))
-    dense = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        dense[e] = c
-    return normalize(dense, p)
+    return normalize(_parse_poly_text(s, "t", 0, len(s)), p)

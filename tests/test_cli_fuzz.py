@@ -4,6 +4,8 @@ About a thousand argvs mix all six commands, well-formed and malformed
 field descriptors, coefficient lists and matrices, with and without
 --json.  Each must return (or, for argparse usage errors, exit with) 0,
 2, 3 or 4, let no exception escape ``cli.main`` and print no traceback.
+A second test puts each malformed entry into each field: together they
+reach every message of the polynomial reader.
 """
 
 import random
@@ -23,7 +25,7 @@ POLY_T = ("0", "1", "2", "t", "t+1", "2*t+1", "t^2", "-t")
 POLY_X = ("0", "1", "x", "x+1", "x^2+x", "(x)/(x+1)", "1/x")
 MALFORMED = (
     "", "1/0", "t^", "*t", "+", "--1", "1_0", "٣", "(x", "x)", "t^99999", "9" * 5000,
-    "[1]", "y", "1/2/3",
+    "[1]", "y", "1/2/3", "2*", "t*t", "t^0", "1+", "x^4097", "(x)+(1)", "1/(x", "x/",
 )
 # descriptor -> the entries its grammar accepts.  An oracle request over
 # GF(25) or GF(2^8) stops at once at the order bound; GF(16) stays out, as
@@ -33,6 +35,10 @@ FIELDS = {
     "GF(4)": POLY_T, "GF(8)": POLY_T, "GF(9)": POLY_T, "GF(25)": POLY_T, "GF(27)": POLY_T,
     "GF(2^8);modulus=t^8+t^4+t^3+t+1": POLY_T, "F2(X)": POLY_X,
 }
+READER_MESSAGES = (
+    "empty polynomial", "expected '+' or '-'", "too many digits", "expected exponent digits",
+    "exponent too large", "expected 't' after '*'", "expected 'x' after '*'", "expected a term",
+)
 BAD_FIELDS = (
     "", "GF(6)", "GF(1)", "GF(0)", "GF(9", "gf(7)", "GF(2^0)", "GF(3^9)", "GF(2^64)",
     "GF(9);modulus=t^2+2", "GF(9);modulus=t^3+1", "GF(7);modulus=t+1", "F2(Y)", "R",
@@ -104,3 +110,12 @@ def test_seeded_argv_fuzz(capsys):
         assert code in EXIT_CODES, argv
         assert "Traceback" not in err, argv
     assert time.perf_counter() - start < BUDGET_S
+
+
+def test_malformed_entries_in_every_field(capsys):
+    messages = set()
+    for field in FIELDS:
+        for entry in MALFORMED:
+            assert main(["universal", "--field", field, "--coeffs", f"1,{entry}"]) in EXIT_CODES
+            messages.add(capsys.readouterr().err.removeprefix("error: ").partition(" (at ")[0])
+    assert set(READER_MESSAGES) <= messages

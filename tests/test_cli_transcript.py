@@ -10,9 +10,9 @@ package raises fails the case.  Under ``PYTHONPATH=src`` this checks the
 source tree; run from outside the checkout with no ``PYTHONPATH``, it
 checks the installed package.  The timeout bounds the GF(16) queries.
 
-A second test runs a few of these commands with stdout on a pipe whose
-read end is already closed, buffered and unbuffered: each must keep its
-exit code and print nothing to stderr.
+Two more tests run a few commands with stdout, or stderr, on a pipe
+whose read end is already closed, buffered and unbuffered: each must
+keep its exit code and print nothing on the other stream.
 """
 
 import os
@@ -67,20 +67,41 @@ CLOSED_STDOUT = [
 ]
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("args, code", CLOSED_STDOUT, ids=[args for args, _ in CLOSED_STDOUT])
-def test_closed_stdout_keeps_the_exit_code(args, code, unbuffered):
+CLOSED_STDERR = [
+    ("universal-z --coeffs 1,x", 3),
+    ("decompose --field Q", 3),  # an argparse usage error
+    ("decompose --field 'GF(6)' --coeffs 1,1 --target '[[1,0],[0,1]]'", 3),
+    ("oracle --field 'GF(7)' --coeffs 1,1", 4),
+]
+
+
+def run_closed(args, closed, unbuffered):
+    """Run ``m2forms args`` with the ``closed`` stream on a pipe nobody reads."""
     env = dict(os.environ, COLUMNS="120")
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
     try:
-        result = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-W", "error", "-m", "m2forms", *shlex.split(args)],
-            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=10,
+            env=env, text=True, timeout=10, **streams,
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args, code", CLOSED_STDOUT, ids=[args for args, _ in CLOSED_STDOUT])
+def test_closed_stdout_keeps_the_exit_code(args, code, unbuffered):
+    result = run_closed(args, "stdout", unbuffered)
     assert (result.returncode, result.stderr) == (code, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args, code", CLOSED_STDERR, ids=[args for args, _ in CLOSED_STDERR])
+def test_closed_stderr_keeps_the_exit_code(args, code, unbuffered):
+    result = run_closed(args, "stderr", unbuffered)
+    assert (result.returncode, result.stdout) == (code, "")

@@ -782,6 +782,73 @@ class TestParseAndBoundErrors:
                 assert not polys.is_irreducible(constant, p)
 
 
+_BIG = "9" * 4400  # more digits than int() converts
+_POLY_READERS = {
+    "t": GF9.parse,
+    "modulus": lambda text: ExtensionField(3, 2, modulus=text),
+    "x": F2X.parse,
+}
+_POLY_ERRORS = [
+    ("modulus", "", "empty polynomial", 0),
+    ("t", "t3", "expected '+' or '-'", 1),
+    ("t", "t*t", "expected '+' or '-'", 1),
+    ("t", "2+t^2t", "expected '+' or '-'", 5),
+    ("t", "1+" + _BIG, "too many digits", 2),
+    ("t", "t^" + _BIG, "too many digits", 2),
+    ("t", "t^", "expected exponent digits", 2),
+    ("t", "2+t^", "expected exponent digits", 4),
+    ("t", "t^4097", "exponent too large", 2),
+    ("t", "1+t^4097", "exponent too large", 4),
+    ("t", "2*", "expected 't' after '*'", 2),
+    ("t", "1+2*5", "expected 't' after '*'", 4),
+    ("t", "1+", "expected a term", 2),
+    ("t", "t^0", "expected a term", 3),
+    ("t", "(t)", "expected a term", 0),
+    ("t", "x", "expected a term", 0),
+    ("modulus", "t^2+", "expected a term", 4),
+    ("x", "x/", "empty polynomial", 2),
+    ("x", "()", "empty polynomial", 1),
+    ("x", "1/()", "empty polynomial", 3),
+    ("x", "x1", "expected '+' or '-'", 1),
+    ("x", "x*x", "expected '+' or '-'", 1),
+    ("x", "(x+1)/(x1)", "expected '+' or '-'", 8),
+    ("x", _BIG, "too many digits", 0),
+    ("x", "x^" + _BIG, "too many digits", 2),
+    ("x", "x/(1+" + _BIG + ")", "too many digits", 5),
+    ("x", "x^", "expected exponent digits", 2),
+    ("x", "(x+1)/x^", "expected exponent digits", 8),
+    ("x", "x^4097", "exponent too large", 2),
+    ("x", "(x^4097)/x", "exponent too large", 3),
+    ("x", "2*", "expected 'x' after '*'", 2),
+    ("x", "1/(x+2*)", "expected 'x' after '*'", 7),
+    ("x", "1+", "expected a term", 2),
+    ("x", "x^0", "expected a term", 3),
+    ("x", "1/(x+x^0)", "expected a term", 8),
+    ("x", "t", "expected a term", 0),
+]
+
+
+class TestPolynomialReader:
+    """Every message of the polynomial reader, in t (GF(9) and its modulus)
+    and in x (F2(X)), with positions into the whole text."""
+
+    @pytest.mark.parametrize(
+        "reader, text, message, pos", _POLY_ERRORS,
+        ids=[f"{reader}:{text[:12]}" for reader, text, _, _ in _POLY_ERRORS],
+    )
+    def test_exact_error(self, reader, text, message, pos):
+        with pytest.raises(ParseError) as err:
+            _POLY_READERS[reader](text)
+        assert str(err.value) == f"{message} (at position {pos} in {text!r})"
+
+    def test_boundaries_accepted(self):
+        assert GF9.parse("t^4096") == GF9.parse("t") ** 4096
+        assert F2X.parse("x^4096").payload == (1 << 4096, 1)
+        # t^0 alone is not a term, but a coefficient makes it one
+        assert GF9.parse("1*t^0") == GF9(1)
+        assert F2X.parse("1*x^0") == F2X(1)
+
+
 def _coeffs(bits):
     """Packed GF(2)[t] as the ascending coefficient tuple polys takes."""
     return tuple((bits >> i) & 1 for i in range(bits.bit_length()))
