@@ -9,16 +9,18 @@ Subcommands:
   oracle          brute-force representability over small finite fields
   counterexample  show the GF(2)(x) failure of the counting criterion
 
-Exit codes are stable: 0 for success or a Universal verdict, 2 for a
-negative verdict or an unsolvable target, 3 for malformed input, 4 when
-a resource bound (field enumeration limits) is exceeded.
+Exit codes are stable: 0 for success or a Universal verdict, 1 when the
+answer could not be written (a full disk, say), 2 for a negative verdict
+or an unsolvable target, 3 for malformed input, 4 when a resource bound
+(field enumeration limits) is exceeded.
 
 Each handler returns ``(code, lines, payload)`` and ``main`` alone prints:
 the lines, or with --json the payload as one JSON object. An error is an
 ``error: <message>`` line on stderr, or with --json an ``{"error": kind,
 "message": ...}`` object on stdout. A closed stdout or stderr keeps the
-exit code. Matrices and elements appear as strings in the same grammar the
-parser accepts, so emitted output can be fed back in unchanged.
+exit code; any other failed write exits 1. Matrices and elements appear as
+strings in the same grammar the parser accepts, so emitted output can be
+fed back in unchanged.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (
 )
 
 EXIT_OK = 0
+EXIT_UNWRITTEN = 1
 EXIT_NEGATIVE = 2
 EXIT_PARSE = 3
 EXIT_LIMIT = 4
@@ -54,6 +57,12 @@ class _Parser(argparse.ArgumentParser):
         with contextlib.suppress(BrokenPipeError):
             sys.stderr.write(f"{self.format_usage()}{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_PARSE)
+
+    def print_help(self, file=None):
+        # argparse 3.11+ drops a failed write of the help; main maps it to an exit code
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
 
 
 @functools.cache  # built once per process: parsing leaves the parser unchanged
@@ -272,13 +281,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             print("\n".join(lines))
     except BrokenPipeError:
         pass  # the reader closed stdout or stderr: the exit code stands
+    except OSError:
+        code = EXIT_UNWRITTEN  # a full disk, say: the answer is lost
     finally:
-        # a stream whose reader is gone gets devnull for what it still buffers,
-        # so that the flush at interpreter exit is quiet too
+        # a stream that cannot be written gets devnull for what it still
+        # buffers, so that the flush at interpreter exit is quiet too
         for stream in (sys.stdout, sys.stderr):
             try:
                 stream.flush()
-            except BrokenPipeError:
+            except OSError as exc:
+                if not isinstance(exc, BrokenPipeError):
+                    code = EXIT_UNWRITTEN
                 os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 

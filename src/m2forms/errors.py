@@ -37,8 +37,13 @@ class NotASquareError(ArithmeticError):
     """
 
     def __init__(self, element):
-        super().__init__(f"not a square: {element}")
+        # args holds the element; the message is rendered only when shown,
+        # since most of these are caught and discarded
+        super().__init__(element)
         self.element = element
+
+    def __str__(self):
+        return f"not a square: {self.element}"
 
     def __reduce__(self):
         # unpickling calls the class again: pass the element, not the message

@@ -101,9 +101,18 @@ class Mat2:
             return self
         return Mat2(c * self.e11, c * self.e12, c * self.e21, c * self.e22)
 
-    def square(self) -> Mat2:
-        """The matrix product with itself."""
-        return self * self
+    def square(self, coeff=None) -> Mat2:
+        """X**2, or coeff * X**2, by Cayley-Hamilton: X**2 = t*X - d*I.
+
+        t = tr X and d = det X, so X**2 costs 6 multiplies, not the 8 of
+        X * X.  With a coefficient, t and d are scaled first and
+        coeff * X**2 = (coeff*t)*X - (coeff*d)*I costs 8, not 12.
+        """
+        e11, e12, e21, e22 = self.e11, self.e12, self.e21, self.e22
+        t, d = e11 + e22, e11 * e22 - e12 * e21
+        if coeff is not None:
+            t, d = coeff * t, coeff * d
+        return Mat2(t * e11 - d, t * e12, t * e21, t * e22 - d)
 
     def trace(self) -> FieldElement:
         return self.e11 + self.e22
@@ -219,7 +228,10 @@ class DiagonalForm:
         return tuple(i for i, c in enumerate(self.coeffs) if not c.is_zero())
 
     def evaluate(self, matrices) -> Mat2:
-        """The exact value sum(ai * matrices[i]**2)."""
+        """The exact value sum(ai * matrices[i]**2).
+
+        Each term ai * Xi**2 comes from Mat2.square(ai), by Cayley-Hamilton.
+        """
         matrices = tuple(matrices)
         if len(matrices) != len(self.coeffs):
             raise ArityMismatchError(
@@ -231,5 +243,5 @@ class DiagonalForm:
                 raise FieldMismatchError(
                     f"matrix over {mat.field} in a form over {self.field}"
                 )
-            total = total + mat.square().scale(coeff)
+            total = total + mat.square(coeff)
         return total

@@ -12,7 +12,10 @@ checks the installed package.  The timeout bounds the GF(16) queries.
 
 Two more tests run a few commands with stdout, or stderr, on a pipe
 whose read end is already closed, buffered and unbuffered: each must
-keep its exit code and print nothing on the other stream.
+keep its exit code and print nothing on the other stream.  Two last
+tests put stdout, or stderr, on ``/dev/full``: a command whose answer
+or error cannot be written exits 1, one that writes nothing there keeps
+its own code, and neither prints a traceback.
 """
 
 import os
@@ -75,20 +78,25 @@ CLOSED_STDERR = [
 ]
 
 
-def run_closed(args, closed, unbuffered):
-    """Run ``m2forms args`` with the ``closed`` stream on a pipe nobody reads."""
+def run_with(args, stream, fd, unbuffered):
+    """Run ``m2forms args`` with ``stream`` ("stdout" or "stderr") on ``fd``."""
     env = dict(os.environ, COLUMNS="120")
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: fd}
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "m2forms", *shlex.split(args)],
+        env=env, text=True, timeout=10, **streams,
+    )
+
+
+def run_closed(args, closed, unbuffered):
+    """Run ``m2forms args`` with the ``closed`` stream on a pipe nobody reads."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
     try:
-        return subprocess.run(
-            [sys.executable, "-W", "error", "-m", "m2forms", *shlex.split(args)],
-            env=env, text=True, timeout=10, **streams,
-        )
+        return run_with(args, closed, write_end, unbuffered)
     finally:
         os.close(write_end)
 
@@ -105,3 +113,48 @@ def test_closed_stdout_keeps_the_exit_code(args, code, unbuffered):
 def test_closed_stderr_keeps_the_exit_code(args, code, unbuffered):
     result = run_closed(args, "stderr", unbuffered)
     assert (result.returncode, result.stdout) == (code, "")
+
+
+# (args, exit code, what the other stream prints)
+FULL_STDOUT = [
+    ("universal-z --coeffs 1,1,1", 1, ""),
+    ("universal-z --coeffs 1,1,1 --json", 1, ""),
+    ("universal-z --coeffs 1,x", 3, "error: expected an integer coefficient (at position 0 in '1,x')\n"),
+    ("universal-z --coeffs 1,x --json", 1, ""),
+    ("--help", 1, ""),
+]
+
+
+FULL_STDERR = [
+    ("universal-z --coeffs 1,1,1", 0, "Universal\n"),
+    ("universal-z --coeffs 1,1,1 --json", 0, '{"coeffs": [1, 1, 1], "universal": true}\n'),
+    ("universal-z --coeffs 1,x", 1, ""),
+    ("universal-z --coeffs 1,x --json", 3,
+     '{"error": "ParseError", "message": "expected an integer coefficient (at position 0 in \'1,x\')"}\n'),
+    ("decompose --field Q", 1, ""),  # an argparse usage error
+]
+
+
+def run_full(args, stream, unbuffered):
+    """Run ``m2forms args`` with ``stream`` on /dev/full, where every write fails."""
+    with open("/dev/full", "w") as full:
+        return run_with(args, stream, full.fileno(), unbuffered)
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args, code, stderr", FULL_STDOUT, ids=[args for args, _, _ in FULL_STDOUT])
+def test_full_stdout_exits_1_without_a_traceback(args, code, stderr, unbuffered):
+    result = run_full(args, "stdout", unbuffered)
+    assert (result.returncode, result.stderr) == (code, stderr)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args, code, stdout", FULL_STDERR, ids=[args for args, _, _ in FULL_STDERR])
+def test_full_stderr_exits_1_without_a_traceback(args, code, stdout, unbuffered):
+    result = run_full(args, "stderr", unbuffered)
+    assert (result.returncode, result.stdout) == (code, stdout)

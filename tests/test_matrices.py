@@ -25,6 +25,11 @@ GF9 = ExtensionField(3, 2)
 F2X = RationalFunctionField2()
 
 PROPERTY_FIELDS = [Q, GF5, GF4, GF9, F2X]
+# Q, GF(7), GF(2^61-1), GF(8), GF(9), GF(16), GF(25), GF(27) on the tuple path, F2(X)
+SQUARING_FIELDS = [
+    Q, PrimeField(7), PrimeField(2**61 - 1), ExtensionField(2, 3), GF9,
+    ExtensionField(2, 4), ExtensionField(5, 2), ExtensionField(3, 3), F2X,
+]
 
 
 def rand_mat(field, rng):
@@ -139,6 +144,71 @@ class TestArithmetic:
         assert [e.payload for e in a.entries()] == [e.payload for e in b.entries()]
         assert a != b
         assert len({a, b}) == 2
+
+
+def special_mats(field, rng):
+    """Zero, scalar, nilpotent, singular and random matrices over ``field``."""
+    x, y, k = (field.random_element(rng) for _ in range(3))
+    zero = field.zero()
+    return [
+        Mat2.zero(field),
+        Mat2.identity(field),
+        Mat2(x, zero, zero, x),  # scalar
+        Mat2.nilpotent(field),
+        Mat2(x * y, y * y, -x * x, -x * y),  # nilpotent: trace and det are 0
+        Mat2(x, y, k * x, k * y),  # singular: proportional rows
+        rand_mat(field, rng),
+        rand_mat(field, rng),
+    ]
+
+
+class TestOneSquaringFormula:
+    """Mat2.square(coeff) is the only squaring; check it against the product."""
+
+    @pytest.mark.parametrize("field", SQUARING_FIELDS, ids=str)
+    def test_square_is_the_product(self, field):
+        rng = random.Random(11)
+        for _ in range(10):
+            for m in special_mats(field, rng):
+                assert m.square() == m * m
+
+    @pytest.mark.parametrize("field", SQUARING_FIELDS, ids=str)
+    def test_coefficient_form_is_the_scaled_product(self, field):
+        rng = random.Random(12)
+        for _ in range(10):
+            coeffs = [field.zero(), field.one(), field.random_element(rng)]
+            for m in special_mats(field, rng):
+                for a in coeffs:
+                    assert m.square(a) == (m * m).scale(a)
+
+    @pytest.mark.parametrize("field", SQUARING_FIELDS, ids=str)
+    def test_evaluate_is_the_product_sum(self, field):
+        rng = random.Random(13)
+        for m in range(1, 5):
+            for _ in range(10):
+                # about a third of the coefficients, and of the matrices, are zero
+                coeffs = [field.zero() if rng.random() < 0.3 else field.random_element(rng)
+                          for _ in range(m)]
+                mats = [Mat2.zero(field) if rng.random() < 0.3 else rng.choice(special_mats(field, rng))
+                        for _ in range(m)]
+                expected = Mat2.zero(field)
+                for a, x in zip(coeffs, mats):
+                    expected = expected + (x * x).scale(a)
+                assert DiagonalForm(field, coeffs).evaluate(mats) == expected
+
+    def test_arity_is_checked_before_fields(self):
+        form = DiagonalForm(GF5, [1, 0])
+        with pytest.raises(ArityMismatchError):
+            form.evaluate([Mat2.zero(GF3)])
+        with pytest.raises(ArityMismatchError):
+            form.evaluate([Mat2.zero(GF5), Mat2.zero(GF5), Mat2.zero(GF3)])
+
+    def test_field_is_checked_in_a_zero_coefficient_slot(self):
+        form = DiagonalForm(GF5, [1, 0])
+        with pytest.raises(FieldMismatchError):
+            form.evaluate([Mat2.zero(GF5), Mat2.zero(GF3)])
+        with pytest.raises(FieldMismatchError):
+            DiagonalForm(GF5, [0, 1]).evaluate([Mat2.identity(F2X), Mat2.zero(GF5)])
 
 
 class TestParsing:
