@@ -98,10 +98,10 @@ def _parse_int(digits: str, text: str, pos: int) -> int:
 def _parse_poly_text(text: str, var: str, start: int, end: int) -> list[int]:
     """Parse ``text[start:end]`` as a sum of terms in ``var``.
 
-    Terms look like ``5``, ``t``, ``t^3``, ``2*t`` and are joined by '+'
-    or '-'; digits are ASCII 0-9 only.  Returns the accumulated signed
-    coefficients in ascending degree; callers reduce them into their own
-    field.  Error positions are indices into the whole ``text``.
+    Terms are ``c``, ``t``, ``t^e``, ``c*t`` and ``c*t^e``, joined by
+    '+' or '-'; digits are ASCII 0-9 only.  Returns the accumulated
+    signed coefficients in ascending degree; callers reduce them into
+    their own field.  Error positions are indices into the whole ``text``.
     """
     if end == start:
         raise ParseError("empty polynomial", text, start)
@@ -124,7 +124,11 @@ def _parse_poly_text(text: str, var: str, start: int, end: int) -> list[int]:
             exp = _parse_int(exp_digits, text, m.start(5))
             if exp > _MAX_EXPONENT:
                 raise ParseError("exponent too large", text, m.start(5))
-        if not (digits or exp):
+        if star and not digits:  # '*' cannot start a term
+            raise ParseError("expected a term", text, m.start(3))
+        if digits and has_var and not star:  # without '*' the term ends at its digits
+            raise ParseError("expected '+' or '-'", text, m.start(4))
+        if not (digits or has_var):
             raise ParseError("expected a term", text, m.end())
         coeffs += [0] * (exp + 1 - len(coeffs))
         coeffs[exp] += -coeff if sign == "-" else coeff

@@ -7,11 +7,12 @@ O(q**4) instead of O(q**8).  Enumeration is lexicographic in the entry
 order (e11, e12, e21, e22) over each field's canonical element order,
 which makes witnesses and first counterexamples deterministic.  A
 square set enumerates the entries' payloads in that order, squares them
-with the field's payload hooks and keys its members by payload
+by lookups in q x q sum and product tables of the field's payload
+hooks, built afresh for each set, and keys its members by payload
 4-tuples; a sweep walks the targets' payload 4-tuples and subtracts
-with the same hooks.  Only results (a first counterexample, a witness,
-``first_preimage`` when read) become ``Mat2``.  The X1 scan of a query
-stays on ``Mat2``.
+with the field's ``_sub`` hook.  Only results (a first counterexample,
+a witness, ``first_preimage`` when read) become ``Mat2``.  The X1 scan
+of a query stays on ``Mat2``.
 
 ``first_solution`` and ``first_unrepresentable`` answer every one- and
 two-term query (CLI, single-term explanation) and own their bounds.  A
@@ -99,30 +100,35 @@ def build_square_set(field: Field, coeff) -> SquareSet:
 
     X = [[a,b],[c,d]] runs over payload 4-tuples in ``all_matrices``
     order, and k*X**2 = [[k(a^2+bc), kb(a+d)], [kc(a+d), k(d^2+bc)]]
-    comes from the field's ``_add`` and ``_mul`` hooks, with the products
-    fixed by a, b and c taken out of the inner loops.  A new square's
-    payload 4-tuple stores its first X's; no ``Mat2`` is made.
+    is read from q x q tables, ``add[x][y]`` and ``mul[x][y]``, that
+    call the field's ``_add`` and ``_mul`` hooks once per payload pair
+    (keyed by payload, so no payload order is assumed).  The rows fixed
+    by a, b and c are taken out of the inner loops, so the loop over d
+    only looks entries up.  A new square's payload 4-tuple stores its
+    first X's; no ``Mat2`` is made.
     """
     _check_finite(field, MAX_ORDER)
     coeff = field(coeff)
     if not coeff:  # 0 * X**2 == 0, first reached at the zero matrix
         zero = (field.zero().payload,) * 4
         return SquareSet(field, coeff, {zero: zero})
-    add, mul, k = field._add, field._mul, coeff.payload
     payloads = [e.payload for e in field.elements()]
-    k_squares = [mul(k, mul(d, d)) for d in payloads]  # k*d^2 for each d
+    add = {x: {y: field._add(x, y) for y in payloads} for x in payloads}
+    mul = {x: {y: field._mul(x, y) for y in payloads} for x in payloads}
+    times_k = mul[coeff.payload]
+    k_squares = [times_k[mul[d][d]] for d in payloads]  # k*d^2 for each d
     first: dict[tuple, tuple] = {}  # payload 4-tuple of k*X^2 -> that of the first X
+    setdefault = first.setdefault
     for a, ka2 in zip(payloads, k_squares):
-        sums = [add(a, d) for d in payloads]  # a+d for each d
+        plus_a, plus_ka2 = add[a], add[ka2]
+        sums = [plus_a[d] for d in payloads]  # a+d for each d
         for b in payloads:
-            kb = mul(k, b)
+            times_kb = mul[times_k[b]]
             for c in payloads:
-                kc, kbc = mul(k, c), mul(kb, c)
-                e11 = add(ka2, kbc)
+                times_kc, kbc = mul[times_k[c]], times_kb[c]
+                plus_kbc, e11 = add[kbc], plus_ka2[kbc]
                 for d, kd2, s in zip(payloads, k_squares, sums):
-                    key = (e11, mul(kb, s), mul(kc, s), add(kd2, kbc))
-                    if key not in first:
-                        first[key] = (a, b, c, d)
+                    setdefault((e11, times_kb[s], times_kc[s], plus_kbc[kd2]), (a, b, c, d))
     return SquareSet(field, coeff, first)
 
 
@@ -153,11 +159,12 @@ def check_universal_exhaustive(a1, a2, field: Field) -> tuple[bool, Mat2 | None]
     Returns (True, None) when every one of the q**4 targets is a value
     of a1*X1**2 + a2*X2**2, else (False, first unrepresentable target).
     Targets run over payload 4-tuples in ``all_matrices`` order, and
-    each residual t - v is formed with the field's ``_sub`` hook.
+    each residual t - v is formed with the field's ``_sub`` hook.  When
+    a2 == a1 the one square set serves both terms.
     """
     _check_finite(field, SWEEP_MAX_ORDER, "sweep bound")
     set1 = build_square_set(field, a1)
-    second = build_square_set(field, a2)._first
+    second = set1._first if field(a2) == set1.coeff else build_square_set(field, a2)._first
     sub = field._sub
     values1 = list(set1._first)  # insertion order; deterministic
     for t11, t12, t21, t22 in itertools.product(set1._element, repeat=4):  # payloads in element order

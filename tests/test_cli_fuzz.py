@@ -5,7 +5,8 @@ field descriptors, coefficient lists and matrices, with and without
 --json.  Each must return (or, for argparse usage errors, exit with) 0,
 2, 3 or 4, let no exception escape ``cli.main`` and print no traceback.
 A second test puts each malformed entry into each field: together they
-reach every message of the polynomial reader.
+reach every message of the polynomial reader, and the terms ``*t`` and
+``2t``, outside the term grammar, exit 3 in every field.
 """
 
 import random
@@ -25,8 +26,11 @@ POLY_T = ("0", "1", "2", "t", "t+1", "2*t+1", "t^2", "-t")
 POLY_X = ("0", "1", "x", "x+1", "x^2+x", "(x)/(x+1)", "1/x")
 MALFORMED = (
     "", "1/0", "t^", "*t", "+", "--1", "1_0", "٣", "(x", "x)", "t^99999", "9" * 5000,
-    "[1]", "y", "1/2/3", "2*", "t*t", "t^0", "1+", "x^4097", "(x)+(1)", "1/(x", "x/",
+    "[1]", "y", "1/2/3", "2*", "t*t", "t^0", "1+", "x^4097", "(x)+(1)", "1/(x", "x/", "2t",
 )
+# malformed in every field: a term is c, t, t^e, c*t or c*t^e, so neither
+# a bare '*' nor a coefficient without one joins a coefficient to t
+NO_TERM = ("*t", "2t")
 # descriptor -> the entries its grammar accepts.  An oracle request over
 # GF(25) or GF(2^8) stops at once at the order bound; GF(16) stays out, as
 # a one-term oracle target over it scans 16^4 matrices.
@@ -116,6 +120,7 @@ def test_malformed_entries_in_every_field(capsys):
     messages = set()
     for field in FIELDS:
         for entry in MALFORMED:
-            assert main(["universal", "--field", field, "--coeffs", f"1,{entry}"]) in EXIT_CODES
+            code = main(["universal", "--field", field, "--coeffs", f"1,{entry}"])
+            assert code == 3 if entry in NO_TERM else code in EXIT_CODES, (field, entry)
             messages.add(capsys.readouterr().err.removeprefix("error: ").partition(" (at ")[0])
     assert set(READER_MESSAGES) <= messages

@@ -6,9 +6,11 @@ between cases are comments.  Each case runs ``python -W error -m
 m2forms`` in this process's environment and current directory, with
 ``COLUMNS=120`` added so that help text wraps the same on every
 supported Python, and must print nothing to stderr; a warning the
-package raises fails the case.  Under ``PYTHONPATH=src`` this checks the
-source tree; run from outside the checkout with no ``PYTHONPATH``, it
-checks the installed package.  The timeout bounds the GF(16) queries.
+package raises fails the case.  Every test here runs each case under
+each interpreter of the ``pythons`` fixture (tests/conftest.py).  Under
+``PYTHONPATH=src`` this checks the source tree; run from outside the
+checkout with no ``PYTHONPATH``, it checks the installed package.  The
+timeout bounds the GF(16) queries.
 
 Two more tests run a few commands with stdout, or stderr, on a pipe
 whose read end is already closed, buffered and unbuffered: each must
@@ -22,7 +24,6 @@ import os
 import re
 import shlex
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -54,12 +55,13 @@ CASES = load_cases(TRANSCRIPT.read_text())
 
 
 @pytest.mark.parametrize("args, stdout, code", CASES, ids=[args for args, _, _ in CASES])
-def test_cli_transcript(args, stdout, code):
-    result = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "m2forms", *shlex.split(args)],
-        env=dict(os.environ, COLUMNS="120"), capture_output=True, text=True, timeout=10,
-    )
-    assert (result.stdout, result.stderr, result.returncode) == (stdout, "", code)
+def test_cli_transcript(args, stdout, code, pythons):
+    for python in pythons:
+        result = subprocess.run(
+            [python, "-W", "error", "-m", "m2forms", *shlex.split(args)],
+            env=dict(os.environ, COLUMNS="120"), capture_output=True, text=True, timeout=10,
+        )
+        assert (result.stdout, result.stderr, result.returncode) == (stdout, "", code), python
 
 
 CLOSED_STDOUT = [
@@ -78,41 +80,44 @@ CLOSED_STDERR = [
 ]
 
 
-def run_with(args, stream, fd, unbuffered):
-    """Run ``m2forms args`` with ``stream`` ("stdout" or "stderr") on ``fd``."""
+def run_with(python, args, stream, fd, unbuffered):
+    """Run ``m2forms args`` under ``python`` with ``stream`` ("stdout" or
+    "stderr") on ``fd``."""
     env = dict(os.environ, COLUMNS="120")
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: fd}
     return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "m2forms", *shlex.split(args)],
+        [python, "-W", "error", "-m", "m2forms", *shlex.split(args)],
         env=env, text=True, timeout=10, **streams,
     )
 
 
-def run_closed(args, closed, unbuffered):
+def run_closed(python, args, closed, unbuffered):
     """Run ``m2forms args`` with the ``closed`` stream on a pipe nobody reads."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        return run_with(args, closed, write_end, unbuffered)
+        return run_with(python, args, closed, write_end, unbuffered)
     finally:
         os.close(write_end)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("args, code", CLOSED_STDOUT, ids=[args for args, _ in CLOSED_STDOUT])
-def test_closed_stdout_keeps_the_exit_code(args, code, unbuffered):
-    result = run_closed(args, "stdout", unbuffered)
-    assert (result.returncode, result.stderr) == (code, "")
+def test_closed_stdout_keeps_the_exit_code(args, code, unbuffered, pythons):
+    for python in pythons:
+        result = run_closed(python, args, "stdout", unbuffered)
+        assert (result.returncode, result.stderr) == (code, ""), python
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("args, code", CLOSED_STDERR, ids=[args for args, _ in CLOSED_STDERR])
-def test_closed_stderr_keeps_the_exit_code(args, code, unbuffered):
-    result = run_closed(args, "stderr", unbuffered)
-    assert (result.returncode, result.stdout) == (code, "")
+def test_closed_stderr_keeps_the_exit_code(args, code, unbuffered, pythons):
+    for python in pythons:
+        result = run_closed(python, args, "stderr", unbuffered)
+        assert (result.returncode, result.stdout) == (code, ""), python
 
 
 # (args, exit code, what the other stream prints)
@@ -135,10 +140,10 @@ FULL_STDERR = [
 ]
 
 
-def run_full(args, stream, unbuffered):
+def run_full(python, args, stream, unbuffered):
     """Run ``m2forms args`` with ``stream`` on /dev/full, where every write fails."""
     with open("/dev/full", "w") as full:
-        return run_with(args, stream, full.fileno(), unbuffered)
+        return run_with(python, args, stream, full.fileno(), unbuffered)
 
 
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -147,14 +152,16 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no 
 @needs_dev_full
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("args, code, stderr", FULL_STDOUT, ids=[args for args, _, _ in FULL_STDOUT])
-def test_full_stdout_exits_1_without_a_traceback(args, code, stderr, unbuffered):
-    result = run_full(args, "stdout", unbuffered)
-    assert (result.returncode, result.stderr) == (code, stderr)
+def test_full_stdout_exits_1_without_a_traceback(args, code, stderr, unbuffered, pythons):
+    for python in pythons:
+        result = run_full(python, args, "stdout", unbuffered)
+        assert (result.returncode, result.stderr) == (code, stderr), python
 
 
 @needs_dev_full
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("args, code, stdout", FULL_STDERR, ids=[args for args, _, _ in FULL_STDERR])
-def test_full_stderr_exits_1_without_a_traceback(args, code, stdout, unbuffered):
-    result = run_full(args, "stderr", unbuffered)
-    assert (result.returncode, result.stdout) == (code, stdout)
+def test_full_stderr_exits_1_without_a_traceback(args, code, stdout, unbuffered, pythons):
+    for python in pythons:
+        result = run_full(python, args, "stderr", unbuffered)
+        assert (result.returncode, result.stdout) == (code, stdout), python

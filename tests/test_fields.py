@@ -802,9 +802,12 @@ _POLY_ERRORS = [
     ("t", "2*", "expected 't' after '*'", 2),
     ("t", "1+2*5", "expected 't' after '*'", 4),
     ("t", "1+", "expected a term", 2),
-    ("t", "t^0", "expected a term", 3),
     ("t", "(t)", "expected a term", 0),
     ("t", "x", "expected a term", 0),
+    ("t", "*t", "expected a term", 0),
+    ("t", "1-*t^2", "expected a term", 2),
+    ("t", "2t", "expected '+' or '-'", 1),
+    ("t", "1+10t^2", "expected '+' or '-'", 4),
     ("modulus", "t^2+", "expected a term", 4),
     ("x", "x/", "empty polynomial", 2),
     ("x", "()", "empty polynomial", 1),
@@ -822,9 +825,11 @@ _POLY_ERRORS = [
     ("x", "2*", "expected 'x' after '*'", 2),
     ("x", "1/(x+2*)", "expected 'x' after '*'", 7),
     ("x", "1+", "expected a term", 2),
-    ("x", "x^0", "expected a term", 3),
-    ("x", "1/(x+x^0)", "expected a term", 8),
     ("x", "t", "expected a term", 0),
+    ("x", "*x", "expected a term", 0),
+    ("x", "1/(x+*x)", "expected a term", 5),
+    ("x", "2x", "expected '+' or '-'", 1),
+    ("x", "(x+1)/(3x)", "expected '+' or '-'", 8),
 ]
 
 
@@ -844,9 +849,11 @@ class TestPolynomialReader:
     def test_boundaries_accepted(self):
         assert GF9.parse("t^4096") == GF9.parse("t") ** 4096
         assert F2X.parse("x^4096").payload == (1 << 4096, 1)
-        # t^0 alone is not a term, but a coefficient makes it one
-        assert GF9.parse("1*t^0") == GF9(1)
-        assert F2X.parse("1*x^0") == F2X(1)
+        # t^e takes any exponent up to the bound, 0 included
+        assert GF9.parse("t^0") == GF9.parse("1*t^0") == GF9(1)
+        assert GF9.parse("-t^0+t") == GF9.parse("t-1")
+        assert F2X.parse("x^0") == F2X.parse("1*x^0") == F2X(1)
+        assert F2X.parse("1/(x+x^0)") == F2X.parse("1/(x+1)")
 
 
 def _coeffs(bits):

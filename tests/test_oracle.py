@@ -31,6 +31,8 @@ GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF5 = PrimeField(5)
 GF7 = PrimeField(7)
+GF11 = PrimeField(11)
+GF13 = PrimeField(13)
 GF4 = ExtensionField(2, 2)
 GF8 = ExtensionField(2, 3)
 GF9 = ExtensionField(3, 2)
@@ -88,16 +90,19 @@ class TestSquareSet:
         squares = build_square_set(ExtensionField(2, 4), 1)
         assert Mat2.zero(ExtensionField(2, 4)) in squares
 
-    # every coefficient for q <= 5; 1 and the last element for q = 7, 8, 9
+    # every coefficient for q <= 5; 1 and the last element for q = 7, 8, 9;
+    # the last element for GF(11) and GF(13) (prime-field hooks) and for
+    # GF(16) (characteristic-2 xor at MAX_ORDER)
     @pytest.mark.parametrize(
-        "field, every",
-        [(GF2, True), (GF3, True), (GF4, True), (GF5, True)]
-        + [(GF7, False), (GF8, False), (GF9, False)],
-        ids=["GF2", "GF3", "GF4", "GF5", "GF7", "GF8", "GF9"],
+        "field, which",
+        [(GF2, "all"), (GF3, "all"), (GF4, "all"), (GF5, "all")]
+        + [(GF7, "1,last"), (GF8, "1,last"), (GF9, "1,last")]
+        + [(GF11, "last"), (GF13, "last"), (GF16, "last")],
+        ids=["GF2", "GF3", "GF4", "GF5", "GF7", "GF8", "GF9", "GF11", "GF13", "GF16"],
     )
-    def test_matches_mat2_enumeration(self, field, every):
+    def test_matches_mat2_enumeration(self, field, which):
         elems = list(field.elements())
-        for a in elems if every else [field(1), elems[-1]]:
+        for a in {"all": elems, "1,last": [field(1), elems[-1]], "last": elems[-1:]}[which]:
             first = {}
             for x in all_matrices(field):
                 first.setdefault(x.square().scale(a), x)
@@ -107,6 +112,18 @@ class TestSquareSet:
         squares = build_square_set(GF9, 1)
         assert len(squares.members) == 2381
         assert square_calls == []
+
+    def test_build_calls_each_hook_at_most_q_squared_times(self, monkeypatch):
+        t, calls = GF9.parse("t"), {"_add": 0, "_mul": 0}
+        for name in calls:
+            def counted(x, y, name=name, hook=getattr(GF9, name)):
+                calls[name] += 1
+                return hook(x, y)
+
+            monkeypatch.setattr(GF9, name, counted)  # GF9 is interned: undone at teardown
+        squares = build_square_set(GF9, t)
+        assert len(squares.members) == 2381
+        assert 0 < calls["_add"] <= 9 * 9 and 0 < calls["_mul"] <= 9 * 9, calls
 
 
 class TestRepresentableTwoTerm:

@@ -7,7 +7,6 @@ import importlib
 import os
 import pickle
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -173,9 +172,10 @@ SUBMODULES = {f"m2forms.{path.stem}" for path in (ROOT / "src" / "m2forms").glob
 }
 
 
-def _modules_loaded(names, code="import m2forms.cli", argv=None, flags=(), status=0):
+def _modules_loaded(pythons, names, code="import m2forms.cli", argv=None, flags=(), status=0):
     """Which of ``names`` a fresh interpreter loads running ``code`` and then,
-    given ``argv``, that CLI command, which must exit ``status``."""
+    given ``argv``, that CLI command, which must exit ``status``; every
+    interpreter in ``pythons`` must load the same ones."""
     run = "" if argv is None else f"assert m2forms.cli.main({list(argv)!r}) == {status}\n"
     script = (
         "import sys\n"
@@ -185,30 +185,34 @@ def _modules_loaded(names, code="import m2forms.cli", argv=None, flags=(), statu
         f"print(sorted({set(names)!r} & (set(sys.modules) - before)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, "-W", "error", *flags, "-c", script],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()[-1]
+    loaded = {}
+    for python in pythons:
+        result = subprocess.run(
+            [python, "-W", "error", *flags, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, (python, result.stderr)
+        loaded[python] = result.stdout.splitlines()[-1]
+    assert len(set(loaded.values())) == 1, loaded
+    return loaded[pythons[0]]
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    assert _modules_loaded({"dataclasses", "inspect"}) == "[]"
+def test_cli_import_skips_dataclasses_and_inspect(pythons):
+    assert _modules_loaded(pythons, {"dataclasses", "inspect"}) == "[]"
 
 
-def test_cli_import_skips_fractions_and_decimal():
+def test_cli_import_skips_fractions_and_decimal(pythons):
     # Q runs on int pairs; only Q(Fraction(...)) imports fractions
-    assert _modules_loaded({"fractions", "decimal"}) == "[]"
+    assert _modules_loaded(pythons, {"fractions", "decimal"}) == "[]"
 
 
-def test_cli_import_skips_typing():
+def test_cli_import_skips_typing(pythons):
     # -S: this interpreter's site may load typing before m2forms does
-    assert _modules_loaded({"typing"}, flags=["-S"]) == "[]"
+    assert _modules_loaded(pythons, {"typing"}, flags=["-S"]) == "[]"
 
 
-def test_package_import_loads_no_submodule():
-    assert _modules_loaded(SUBMODULES, "import m2forms") == "[]"
+def test_package_import_loads_no_submodule(pythons):
+    assert _modules_loaded(pythons, SUBMODULES, "import m2forms") == "[]"
 
 
 # the GF(p^k) and F2(X) families live beside their kernels, in polys and gf2x
@@ -245,12 +249,12 @@ KERNELS = {"m2forms.polys", "m2forms.gf2x"}
     ids=["universal-z", "decompose", "oracle", "universal", "counterexample", "malformed-field",
          "malformed-oracle-field"],
 )
-def test_cli_command_loads_only_its_modules(argv, absent, status):
-    assert _modules_loaded(absent, argv=argv, status=status) == "[]"
+def test_cli_command_loads_only_its_modules(argv, absent, status, pythons):
+    assert _modules_loaded(pythons, absent, argv=argv, status=status) == "[]"
 
 
-def test_field_core_import_loads_no_family_kernel():
-    assert _modules_loaded(KERNELS, "import m2forms.fields") == "[]"
+def test_field_core_import_loads_no_family_kernel(pythons):
+    assert _modules_loaded(pythons, KERNELS, "import m2forms.fields") == "[]"
 
 
 # every public name and the submodule that defines it, in __all__ order
@@ -294,10 +298,10 @@ class TestPackageSurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             m2forms.no_such_name
 
-    def test_fresh_package_lists_names_without_loading_them(self):
+    def test_fresh_package_lists_names_without_loading_them(self, pythons):
         code = "import m2forms\nassert set(m2forms.__all__) <= set(dir(m2forms))"
-        assert _modules_loaded(SUBMODULES, code) == "[]"
+        assert _modules_loaded(pythons, SUBMODULES, code) == "[]"
 
-    def test_fresh_package_resolves_submodules(self):
+    def test_fresh_package_resolves_submodules(self, pythons):
         code = "import m2forms\nassert m2forms.fields.__name__ == 'm2forms.fields'"
-        assert _modules_loaded({"m2forms.fields", "m2forms.solver"}, code) == "['m2forms.fields']"
+        assert _modules_loaded(pythons, {"m2forms.fields", "m2forms.solver"}, code) == "['m2forms.fields']"
