@@ -35,7 +35,6 @@ _EXPORTS = {
     "DiagonalForm": "matrices",
     "Mat2": "matrices",
     "MAX_ORDER": "oracle",
-    "SWEEP_MAX_ORDER": "oracle",
     "SquareSet": "oracle",
     "all_matrices": "oracle",
     "build_square_set": "oracle",

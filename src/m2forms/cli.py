@@ -6,13 +6,13 @@ Subcommands:
   verify          re-evaluate a claimed solution against a target
   universal       decide universality of a form over its field
   universal-z     decide universality over the 2x2 integer matrices
-  oracle          brute-force representability over small finite fields
+  oracle          brute-force representability over finite fields, q <= 16
   counterexample  show the GF(2)(x) failure of the counting criterion
 
 Exit codes are stable: 0 for success or a Universal verdict, 1 when the
 answer could not be written (a full disk, say), 2 for a negative verdict
 or an unsolvable target, 3 for malformed input, 4 when a resource bound
-(field enumeration limits) is exceeded.
+(the oracle's field order 16 or two terms) is exceeded.
 
 Each handler returns ``(code, lines, payload)`` and ``main`` alone prints:
 the lines, or with --json the payload as one JSON object. An error is an

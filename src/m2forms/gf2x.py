@@ -128,12 +128,11 @@ class RationalFunctionField2(_Fractions):
                 depth -= 1
                 if depth < 0:
                     raise ParseError("unbalanced ')'", s, i)
-            elif ch == "/" and depth == 0:
+            elif ch == "/" and depth == 0 and slash == -1:
                 slash = i
-                break
+        if depth != 0:
+            raise ParseError("unbalanced '('", s, len(s) - 1)
         if slash == -1:
-            if depth != 0:
-                raise ParseError("unbalanced '('", s, len(s) - 1)
             return self._reduce(_parse_poly_bits(s, *_strip_parens(s, 0, len(s))), 1)
         den = _parse_poly_bits(s, *_strip_parens(s, slash + 1, len(s)))
         if den == 0:

@@ -15,10 +15,10 @@ a witness, ``first_preimage`` when read) become ``Mat2``.  The X1 scan
 of a query stays on ``Mat2``.
 
 ``first_solution`` and ``first_unrepresentable`` answer every one- and
-two-term query (CLI, single-term explanation) and own their bounds.  A
-one-term form a is the two-term form a, 0: the square set of a zero
-coefficient is {0} and needs no enumeration, so a one-term query stops
-at its first preimage.
+two-term query (CLI, single-term explanation) over fields of order at
+most ``MAX_ORDER``, the one bound of square sets, queries and sweeps.
+A one-term form a is the two-term form a, 0.  A zero term is the zero
+matrix, so it goes first and X1 = 0 alone is tried: one lookup.
 """
 
 from __future__ import annotations
@@ -29,15 +29,7 @@ from .errors import FieldTooLargeError, InfiniteFieldError
 from .fields import Field, FieldElement
 from .matrices import Mat2
 
-MAX_ORDER = 16  # bound for building square sets
-SWEEP_MAX_ORDER = 5  # bound for all-targets sweeps
-
-
-def _check_finite(field: Field, bound: int, name: str = "bound"):
-    if not field.finite:
-        raise InfiniteFieldError(f"cannot enumerate matrices over {field}")
-    if field.order > bound:
-        raise FieldTooLargeError(f"{field} has order {field.order}, above the {name} {bound}")
+MAX_ORDER = 16  # bound for every enumeration
 
 
 def check_term_count(coeffs) -> None:
@@ -105,9 +97,13 @@ def build_square_set(field: Field, coeff) -> SquareSet:
     (keyed by payload, so no payload order is assumed).  The rows fixed
     by a, b and c are taken out of the inner loops, so the loop over d
     only looks entries up.  A new square's payload 4-tuple stores its
-    first X's; no ``Mat2`` is made.
+    first X's; no ``Mat2`` is made.  Every query and sweep builds a set,
+    so this is where the oracle checks its field.
     """
-    _check_finite(field, MAX_ORDER)
+    if not field.finite:
+        raise InfiniteFieldError(f"cannot enumerate matrices over {field}")
+    if field.order > MAX_ORDER:
+        raise FieldTooLargeError(f"{field} has order {field.order}, above the bound {MAX_ORDER}")
     coeff = field(coeff)
     if not coeff:  # 0 * X**2 == 0, first reached at the zero matrix
         zero = (field.zero().payload,) * 4
@@ -139,13 +135,18 @@ def representable_two_term(
 
     Scans X1 in enumeration order and looks the residual's payload key
     up in the square set of a2 (reused across calls when passed in and
-    over this field).
+    over this field).  A zero term goes first, and then X1 = 0 alone.
     """
-    _check_finite(field, MAX_ORDER)
-    a1 = field(a1)
-    if square_set is None or square_set.field != field or square_set.coeff != field(a2):
+    a1, a2 = field(a1), field(a2)
+    if a1 and not a2:
+        found = representable_two_term(a2, a1, target, field)
+        return None if found is None else found[::-1]
+    if square_set is None or square_set.field != field or square_set.coeff != a2:
         square_set = build_square_set(field, a2)
     first = square_set._first
+    if not a1:  # every X1 leaves the target itself as the residual
+        x2 = first.get(tuple(field(e).payload for e in target.entries()))
+        return None if x2 is None else (Mat2.zero(field), square_set._matrix(x2))
     for x1 in all_matrices(field):
         x2 = first.get(_payloads(target - x1.square().scale(a1)))
         if x2 is not None:
@@ -154,15 +155,17 @@ def representable_two_term(
 
 
 def check_universal_exhaustive(a1, a2, field: Field) -> tuple[bool, Mat2 | None]:
-    """Sweep every target of a field of order <= 5.
+    """Sweep every target of a field of order <= 16.
 
     Returns (True, None) when every one of the q**4 targets is a value
     of a1*X1**2 + a2*X2**2, else (False, first unrepresentable target).
     Targets run over payload 4-tuples in ``all_matrices`` order, and
     each residual t - v is formed with the field's ``_sub`` hook.  When
-    a2 == a1 the one square set serves both terms.
+    a2 == a1 the one square set serves both terms; a zero term goes
+    first, so that 0 is the only v.
     """
-    _check_finite(field, SWEEP_MAX_ORDER, "sweep bound")
+    if not field(a2):
+        a1, a2 = a2, a1
     set1 = build_square_set(field, a1)
     second = set1._first if field(a2) == set1.coeff else build_square_set(field, a2)._first
     sub = field._sub
@@ -190,7 +193,7 @@ def first_solution(coeffs, target: Mat2, field: Field) -> tuple[Mat2, ...] | Non
 def first_unrepresentable(coeffs, field: Field) -> Mat2 | None:
     """First target that sum(ai * Xi**2) misses, or None when it hits all q**4.
 
-    Takes one or two coefficients over a field of order <= 5.
+    Takes one or two coefficients over a field of order <= 16.
     """
     check_term_count(coeffs)
     a1, a2 = (*coeffs, 0)[:2]

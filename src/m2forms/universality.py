@@ -84,7 +84,7 @@ def single_term_witness(a: FieldElement) -> tuple[Mat2, SingleTermExplanation]:
     field = a.field
     witness = nilpotent_witness(field)
     confirmed = None
-    if field.finite and field.order <= oracle.SWEEP_MAX_ORDER:
+    if field.finite and field.order <= oracle.MAX_ORDER:
         confirmed = oracle.first_solution([a], witness, field) is None
     if a.is_zero():
         equations = ("0*X^2 = 0 for every X",)

@@ -299,7 +299,7 @@ class TestOracle:
         assert "not universal" in out
 
     def test_sweep_bound_exit_code(self, capsys):
-        code, _, err = run(capsys, "oracle", "--field", "GF(7)", "--coeffs", "1,1")
+        code, _, err = run(capsys, "oracle", "--field", "GF(17)", "--coeffs", "1,1")
         assert code == 4
 
     def test_membership_allowed_up_to_16(self, capsys):
@@ -319,7 +319,7 @@ class TestOracle:
         assert code == 4
 
 
-SWEEP_BOUND = "GF(7) has order 7, above the sweep bound 5"
+BOUND = "GF(17) has order 17, above the bound 16"
 TOO_MANY = "the oracle supports at most two coefficients"
 
 
@@ -347,11 +347,11 @@ class TestOracleExactOutput:
                 '{"field": "GF(3)", "coeffs": ["1"], "target": "[[1,0],[0,1]]", '
                 '"representable": true, "matrices": ["[[0,1],[1,0]]"]}\n', "",
             ),
-            (["--field", "GF(7)", "--coeffs", "1,1"], 4, "", f"error: {SWEEP_BOUND}\n"),
-            (["--field", "GF(7)", "--coeffs", "1"], 4, "", f"error: {SWEEP_BOUND}\n"),
+            (["--field", "GF(17)", "--coeffs", "1,1"], 4, "", f"error: {BOUND}\n"),
+            (["--field", "GF(17)", "--coeffs", "1"], 4, "", f"error: {BOUND}\n"),
             (
-                ["--field", "GF(7)", "--coeffs", "1,1", "--json"], 4,
-                f'{{"error": "FieldTooLarge", "message": "{SWEEP_BOUND}"}}\n', "",
+                ["--field", "GF(17)", "--coeffs", "1,1", "--json"], 4,
+                f'{{"error": "FieldTooLarge", "message": "{BOUND}"}}\n', "",
             ),
             (["--field", "Q", "--coeffs", "1,1"], 4, "", "error: cannot enumerate matrices over Q\n"),
             (
@@ -372,10 +372,16 @@ class TestOracleExactOutput:
                 ["--field", "GF(2)", "--coeffs", "1,1,1", "--target", "[[junk", "--json"], 4,
                 f'{{"error": "FieldTooLarge", "message": "{TOO_MANY}"}}\n', "",
             ),
-            # a one-term query stops at its first preimage, here the first matrix
+            # a one-term query answers with the first preimage, here the first matrix
             (
                 ["--field", "GF(2^4)", "--coeffs", "1", "--target", "[[0,0],[0,0]]"], 0,
                 "X1 = [[0,0],[0,0]]\nrepresentable\n", "",
+            ),
+            # sweeps up to the bound 16, where they exited 4 above the old bound 5
+            (["--field", "GF(7)", "--coeffs", "1,1"], 0, "all 2401 targets representable\n", ""),
+            (
+                ["--field", "GF(7)", "--coeffs", "1"], 2,
+                "not universal; first unrepresentable target: [[0,0],[0,3]]\n", "",
             ),
         ],
     )

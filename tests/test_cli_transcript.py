@@ -76,7 +76,7 @@ CLOSED_STDERR = [
     ("universal-z --coeffs 1,x", 3),
     ("decompose --field Q", 3),  # an argparse usage error
     ("decompose --field 'GF(6)' --coeffs 1,1 --target '[[1,0],[0,1]]'", 3),
-    ("oracle --field 'GF(7)' --coeffs 1,1", 4),
+    ("oracle --field 'GF(17)' --coeffs 1,1", 4),
 ]
 
 

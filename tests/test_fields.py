@@ -744,6 +744,11 @@ class TestParseAndBoundErrors:
             (Q, "1/-2", "expected [-]digits[/digits] (at position 0 in '1/-2')"),
             (F2X, "(x+1)/(x+)", "expected a term (at position 9 in '(x+1)/(x+)')"),
             (F2X, "(x+)", "expected a term (at position 3 in '(x+)')"),
+            # parentheses are checked over the whole text, denominator included
+            (F2X, "1/(x", "unbalanced '(' (at position 3 in '1/(x')"),
+            (F2X, "(x+1)/(x", "unbalanced '(' (at position 7 in '(x+1)/(x')"),
+            (F2X, "1/x)", "unbalanced ')' (at position 3 in '1/x)')"),
+            (F2X, "(x)/(x))", "unbalanced ')' (at position 7 in '(x)/(x))')"),
         ],
     )
     def test_parse_errors(self, field, text, message):

@@ -191,7 +191,7 @@ class TestSweep:
 
     def test_sweep_bound(self):
         with pytest.raises(FieldTooLargeError):
-            check_universal_exhaustive(1, 1, PrimeField(7))
+            check_universal_exhaustive(1, 1, PrimeField(17))
 
     def test_infinite_rejected(self):
         with pytest.raises(InfiniteFieldError):
@@ -301,17 +301,14 @@ def mat2_inits(monkeypatch):
 class TestOneTermAsTwoTerm:
     """A one-term form a answers exactly as the two-term form a, 0."""
 
-    # every target over GF(2) and GF(3); every 8th over GF(4), where each
-    # unrepresentable target squares all 256 matrices (15 s for all targets)
-    @pytest.mark.parametrize(
-        "field, stride", [(GF2, 1), (GF3, 1), (GF4, 8)], ids=["GF2", "GF3", "GF4"]
-    )
-    def test_first_solution_is_first_preimage(self, field, stride):
+    # every coefficient and every target: a query is one square-set lookup
+    @pytest.mark.parametrize("field", [GF2, GF3, GF4, GF5], ids=["GF2", "GF3", "GF4", "GF5"])
+    def test_first_solution_is_first_preimage(self, field):
         for a in field.elements():
             first = {}
             for x in all_matrices(field):
                 first.setdefault(x.square().scale(a), x)
-            for target in list(all_matrices(field))[::stride]:
+            for target in all_matrices(field):
                 expected = (first[target],) if target in first else None
                 assert first_solution([a], target, field) == expected, (a, target)
 
@@ -327,18 +324,33 @@ class TestOneTermAsTwoTerm:
         assert dict(squares.first_preimage) == {Mat2.zero(GF16): Mat2.zero(GF16)}
         assert square_calls == []
 
-    # X is the first matrix with X^2 == target; it is matrix number `squared`
+    # a zero term is the zero matrix, so X1 = 0 is the only X1 tried: a hit
+    # makes X1 = 0 and its answer, a miss makes no Mat2, and nothing is squared
     @pytest.mark.parametrize(
-        "target, x, squared",
+        "coeffs, target, answer",
         [
-            (Mat2.zero(GF16), Mat2.zero(GF16), 1),
-            (Mat2.identity(GF16), Mat2.of(GF16, [[0, 1], [1, 0]]), 16**2 + 16 + 1),
+            ([1], "[[0,0],[0,0]]", ["[[0,0],[0,0]]"]),
+            ([1], "[[1,0],[0,1]]", ["[[0,1],[1,0]]"]),
+            ([1], "[[0,1],[0,0]]", None),
+            ([1, 0], "[[1,0],[0,1]]", ["[[0,1],[1,0]]", "[[0,0],[0,0]]"]),
+            ([1, 0], "[[0,1],[0,0]]", None),
+            ([0, 1], "[[1,0],[0,1]]", ["[[0,0],[0,0]]", "[[0,1],[1,0]]"]),
+            ([0, 1], "[[0,1],[0,0]]", None),
+            ([0, 0], "[[0,0],[0,0]]", ["[[0,0],[0,0]]", "[[0,0],[0,0]]"]),
+            ([0, 0], "[[1,0],[0,1]]", None),
         ],
-        ids=["zero", "identity"],
+        ids=["1-zero", "1-identity", "1-nilpotent", "1,0-identity", "1,0-nilpotent",
+             "0,1-identity", "0,1-nilpotent", "0,0-zero", "0,0-identity"],
     )
-    def test_representable_query_stops_at_first_preimage(self, square_calls, target, x, squared):
-        assert first_solution([1], target, GF16) == (x,)
-        assert len(square_calls) == squared  # not the 65,536 of a full square set
+    def test_zero_term_query_makes_only_x1_and_its_answer(
+        self, mat2_inits, square_calls, coeffs, target, answer
+    ):
+        target = Mat2.parse(GF16, target)
+        mat2_inits.clear()
+        found = first_solution(coeffs, target, GF16)
+        assert len(mat2_inits) == (0 if answer is None else 2)
+        assert square_calls == []
+        assert (found and [str(x) for x in found]) == answer
 
     def test_target_over_another_field(self):
         with pytest.raises(FieldMismatchError):
@@ -353,7 +365,11 @@ class TestOneTermAsTwoTerm:
             first_unrepresentable([], GF3)
 
     def test_sweep_bound_is_named(self):
-        with pytest.raises(FieldTooLargeError, match="above the sweep bound 5"):
-            check_universal_exhaustive(1, 1, PrimeField(7))
-        with pytest.raises(FieldTooLargeError, match="above the sweep bound 5"):
-            first_unrepresentable([1], PrimeField(7))
+        # one bound for square sets, queries and sweeps
+        bound = r"^GF\(17\) has order 17, above the bound 16$"
+        with pytest.raises(FieldTooLargeError, match=bound):
+            check_universal_exhaustive(1, 1, PrimeField(17))
+        with pytest.raises(FieldTooLargeError, match=bound):
+            first_unrepresentable([1], PrimeField(17))
+        with pytest.raises(FieldTooLargeError, match=bound):
+            first_solution([1, 0], Mat2.zero(PrimeField(17)), PrimeField(17))

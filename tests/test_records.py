@@ -267,7 +267,7 @@ PUBLIC = [
     ("gf2x", "RationalFunctionField2"),
     ("fields", "Rationals field_from_string is_prime"),
     ("matrices", "DiagonalForm Mat2"),
-    ("oracle", "MAX_ORDER SWEEP_MAX_ORDER SquareSet all_matrices build_square_set "
+    ("oracle", "MAX_ORDER SquareSet all_matrices build_square_set "
                "check_universal_exhaustive first_solution first_unrepresentable "
                "representable_two_term"),
     ("solver", "Decomposition decompose decompose_pair_char2 decompose_pair_odd_char"),

@@ -26,6 +26,9 @@ from m2forms import (
     decompose,
     f2x_counterexample,
     f2x_necessary_condition,
+    field_from_string,
+    first_solution,
+    first_unrepresentable,
     lee_criterion,
     nilpotent_witness,
     single_term_witness,
@@ -87,6 +90,33 @@ class TestDecide:
                     coeff = nonzero[0] if nonzero else field.zero()
                     square_set = build_square_set(field, coeff)
                     assert verdict.witness not in square_set
+
+
+class TestTheoremAgainstOracle:
+    """The counting criterion against the oracle on every field it can sweep.
+
+    Forms: every coefficient, and every pair, from {0, 1, n} with n a
+    non-square when q is odd; every coefficient pair for q <= 5.
+    """
+
+    @pytest.mark.parametrize(
+        "desc",
+        ["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)", "GF(11)", "GF(13)", "GF(16)"],
+    )
+    def test_universal_exactly_when_the_sweep_misses_nothing(self, desc):
+        field = field_from_string(desc)
+        elems = list(field.elements())
+        if field.order > 5:
+            n = next((e for e in elems if not e.is_square()), elems[-1])
+            elems = [field(0), field(1), n]
+        forms = [[a] for a in elems] + [list(pair) for pair in itertools.product(elems, repeat=2)]
+        for coeffs in forms:
+            verdict = decide_universality(DiagonalForm(field, coeffs))
+            counterexample = first_unrepresentable(coeffs, field)
+            assert (counterexample is None) == (verdict.status == UNIVERSAL), coeffs
+            if counterexample is not None:
+                assert first_solution(coeffs, counterexample, field) is None, coeffs
+                assert first_solution(coeffs, verdict.witness, field) is None, coeffs
 
 
 class TestLeeCriterion:
@@ -192,9 +222,14 @@ class TestSingleTermWitness:
         assert explanation.oracle_confirmed is True
         assert "zero" in explanation.conclusion
 
+    @pytest.mark.parametrize("field", ["GF(7)", "GF(16)"])
+    def test_confirmed_up_to_the_bound(self, field):
+        _, explanation = single_term_witness(field_from_string(field)(1))
+        assert explanation.oracle_confirmed is True
+
     def test_not_confirmed_above_bound(self):
-        GF7 = PrimeField(7)
-        _, explanation = single_term_witness(GF7(1))
+        GF17 = PrimeField(17)
+        _, explanation = single_term_witness(GF17(1))
         assert explanation.oracle_confirmed is None
 
     def test_witness_never_representable(self):
