@@ -419,6 +419,8 @@ class _Fractions(Field):
     cancels only against gcd(d1, d2) (Knuth 4.5.1), and ``_mul``, hence
     ``_div`` and ``_pow``, cross-cancels gcd(n1, d2) and gcd(n2, d1)
     first (Henrici); both stay per ring, on the ring's own operators.
+    Either returns without a gcd for a zero operand: a sum is the other
+    operand's payload and a product the canonical zero (0, 1).
     """
 
     def _reduce(self, num, den):
@@ -465,6 +467,10 @@ class Rationals(_Fractions):
 
     def _add(self, a, b):
         (n1, d1), (n2, d2) = a, b
+        if not n1:
+            return b
+        if not n2:
+            return a
         g = math.gcd(d1, d2)
         if g == 1:
             return (n1 * d2 + n2 * d1, d1 * d2)
@@ -475,6 +481,8 @@ class Rationals(_Fractions):
 
     def _mul(self, a, b):
         (n1, d1), (n2, d2) = a, b
+        if not n1 or not n2:
+            return (0, 1)
         g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
         return (n1 // g1 * (n2 // g2), d1 // g2 * (d2 // g1))
 

@@ -4,8 +4,11 @@ The polynomial b_n x^n + ... + b_1 x + b_0 is stored as the integer with
 bit i equal to b_i, so addition is xor and the zero polynomial is 0.
 The kernel functions take and return plain ints.
 
-``mul`` adds one shifted copy of the larger operand per set bit of the
-smaller.  ``gcd`` is Euclid's algorithm with the remainder taken inline.
+``mul`` returns at once for a factor 0 or 1, and otherwise adds one
+shifted copy of the larger operand per set bit of the smaller.  ``gcd``
+is Euclid's algorithm with the remainder taken inline.  ``sqrt`` reads
+the even-exponent digits off the base-2 text by slicing, which no
+int/str digit limit covers.
 
 ``RationalFunctionField2`` sits here beside its kernel, so that only the
 F2(X) descriptor makes ``fields.field_from_string`` compile it.
@@ -19,6 +22,8 @@ def mul(a, b):
     """Product of packed polynomials a and b."""
     if a < b:
         a, b = b, a
+    if b < 2:
+        return a if b else 0
     c = 0
     while b:
         low = b & -b  # lowest set bit x^i; a * low is a shifted by i
@@ -56,16 +61,10 @@ def gcd(a, b):
 
 def sqrt(a):
     """Square root of a, or None if some exponent is odd."""
-    root = 0
-    i = 0
-    while a:
-        if a & 1:
-            if i & 1:
-                return None
-            root |= 1 << (i >> 1)
-        a >>= 1
-        i += 1
-    return root
+    digits = bin(a)[2:]  # digits[j] is the coefficient of x^(len(digits) - 1 - j)
+    if len(digits) % 2 == 0 or "1" in digits[1::2]:  # an odd degree or an odd exponent
+        return None
+    return int(digits[::2], 2)
 
 
 def _quo(a: int, g: int) -> int:
@@ -97,6 +96,10 @@ class RationalFunctionField2(_Fractions):
 
     def _add(self, a, b):
         (n1, d1), (n2, d2) = a, b
+        if not n1:
+            return b
+        if not n2:
+            return a
         g = gcd(d1, d2)
         if g == 1:
             return (mul(n1, d2) ^ mul(n2, d1), mul(d1, d2))
@@ -109,8 +112,15 @@ class RationalFunctionField2(_Fractions):
 
     def _mul(self, a, b):
         (n1, d1), (n2, d2) = a, b
-        g1, g2 = gcd(n1, d2), gcd(n2, d1)
-        return (mul(_quo(n1, g1), _quo(n2, g2)), mul(_quo(d1, g2), _quo(d2, g1)))
+        if not n1 or not n2:
+            return (0, 1)
+        g = gcd(n1, d2)
+        if g != 1:
+            n1, d2 = divmod_(n1, g)[0], divmod_(d2, g)[0]
+        g = gcd(n2, d1)
+        if g != 1:
+            n2, d1 = divmod_(n2, g)[0], divmod_(d1, g)[0]
+        return (mul(n1, n2), mul(d1, d2))
 
     def _neg(self, a):
         return a

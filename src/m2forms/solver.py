@@ -52,14 +52,19 @@ def _check_pair(a1: FieldElement, a2: FieldElement, target: Mat2):
     return field
 
 
-def _back_substitute(a1, a2, target: Mat2, x1, w1) -> tuple[Mat2, Mat2]:
+def _back_substitute(a1, a2, target: Mat2, x1, w1, t) -> tuple[Mat2, Mat2]:
     """X1 = [[x1,y1],[z1,w1]] and X2 = [[0,y2],[1,0]] for given x1 and w1.
 
-    X2**2 = y2*I, so q and r divide out over a1*(x1+w1), invertible in
-    both callers, and y2 balances s; p holds once a1*(x1**2-w1**2) = p-s.
+    X2**2 = y2*I, so q and r divide out over a1*(x1+w1), and y2 balances
+    s; p holds once a1*(x1**2-w1**2) = p-s.  Each caller knows x1 + w1 by
+    construction and passes t = 1/(a1*(x1+w1)) instead of a sum, product
+    and inverse of large fractions:
+
+      odd, p == s     x1 = w1 = 1, so t = 1/(2*a1);
+      odd, p != s     x1 + w1 = ((gap+a1) + (a1-gap))/(2*a1) = 1, so t = 1/a1;
+      char 2, p != s  w1 = 0 and x1 = sqrt((p+s)/a1) is nonzero, so t = 1/(a1*x1).
     """
     _, q, r, s = target.entries()
-    t = (a1 * (x1 + w1)).inv()
     y1, z1 = q * t, r * t
     y2 = (s - a1 * (y1 * z1 + w1 * w1)) / a2
     zero = target.field.zero()
@@ -80,12 +85,12 @@ def decompose_pair_odd_char(
     if field.characteristic == 2:
         raise CharacteristicError("this construction requires characteristic != 2")
     p, s = target.e11, target.e22
+    half = (2 * a1).inv()
     if p == s:
-        x1 = w1 = field.one()
-    else:
-        gap, half = p - s, (2 * a1).inv()
-        x1, w1 = (gap + a1) * half, (a1 - gap) * half
-    return _back_substitute(a1, a2, target, x1, w1)
+        one = field.one()
+        return _back_substitute(a1, a2, target, one, one, half)
+    gap = p - s
+    return _back_substitute(a1, a2, target, (gap + a1) * half, (a1 - gap) * half, a1.inv())
 
 
 def decompose_pair_char2(
@@ -112,7 +117,8 @@ def decompose_pair_char2(
     p, q, r, s = target.entries()
     zero, one = field.zero(), field.one()
     if p != s:
-        return _back_substitute(a1, a2, target, ((p + s) / a1).sqrt(), zero)
+        x1 = ((p + s) / a1).sqrt()
+        return _back_substitute(a1, a2, target, x1, zero, (a1 * x1).inv())
     if q.is_zero() and r.is_zero():
         c = p / a1
         try:

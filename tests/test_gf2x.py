@@ -8,6 +8,7 @@ sympy is installed.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -63,6 +64,13 @@ class TestKernel:
             b = poly(rng, rng.randrange(-1, 200))
             assert gf2x.mul(a, b) == ref_mul(a, b) == gf2x.mul(b, a)
 
+    def test_mul_by_zero_and_one(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            a = poly(rng, rng.randrange(-1, 200))
+            assert gf2x.mul(a, 0) == gf2x.mul(0, a) == 0
+            assert gf2x.mul(a, 1) == gf2x.mul(1, a) == a
+
     def test_gcd_matches_euclid_with_planted_factor(self):
         rng = random.Random(12)
         for _ in range(400):
@@ -103,6 +111,51 @@ class TestKernel:
             want = int("".join(str(int(c)) for c in gf_gcd(to_sym(a), to_sym(b), 2, ZZ)) or "0", 2)
             assert gf2x.gcd(a, b) == want, (a, b)
 
+    @staticmethod
+    def per_bit_sqrt(a):
+        root = 0
+        i = 0
+        while a:
+            if a & 1:
+                if i & 1:
+                    return None
+                root |= 1 << (i >> 1)
+            a >>= 1
+            i += 1
+        return root
+
+    def test_sqrt_matches_per_bit_loop(self):
+        rng = random.Random(18)
+        cases = [0, 1, 0b10, 0b100]
+        for degree in list(range(-1, 40)) + [2200, 4400, 9000]:
+            a = poly(rng, degree)
+            odd = 1 << (2 * rng.randrange(degree + 2) + 1)  # exactly one odd exponent
+            cases += [a, gf2x.mul(a, a), gf2x.mul(a, a) ^ odd]
+        for a in cases:
+            want = self.per_bit_sqrt(a)
+            assert gf2x.sqrt(a) == want, a
+            if want is not None:
+                assert gf2x.mul(want, want) == a
+
+    def test_sqrt_ignores_the_int_string_limit(self):
+        # the int <-> str digit limit covers decimal and other non-power-of-2
+        # bases only, so a root read through base-2 text is never refused
+        rng = random.Random(19)
+        a = poly(rng, 4400)
+        square = gf2x.mul(a, a)
+        assert square.bit_length() > 8800
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int string-conversion limit")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the smallest limit Python accepts
+        try:
+            with pytest.raises(ValueError):
+                int("1" * 641)
+            assert gf2x.sqrt(square) == a
+            assert gf2x.sqrt(square ^ (1 << 4401)) is None
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_divmod_identity(self):
         rng = random.Random(14)
         for _ in range(500):
@@ -138,6 +191,29 @@ class TestReducedArithmetic:
                 assert got[op].payload == F2X._reduce(num, den) == ref_reduce(num, den), op
             assert (x - y) == (x + y)
             assert (x + x).payload == (0, 1)
+
+    def test_zero_operands_give_canonical_payloads(self):
+        # a zero on either side returns without a gcd: a sum is the other
+        # operand's payload, a product or quotient the canonical zero (0, 1)
+        rng = random.Random(20)
+        zeros = [F2X.zero(), F2X(0), F2X(2), F2X.parse("0/(x+1)"), F2X.parse("x") + F2X.parse("x")]
+        for _ in range(100):
+            x = FieldElement(F2X, fraction(rng, 30))
+            if x.is_zero():
+                continue
+            for zero in zeros:
+                assert zero.payload == (0, 1)
+                assert (zero + x).payload == (x + zero).payload == x.payload
+                assert (zero - x).payload == (x - zero).payload == x.payload
+                assert (zero * x).payload == (x * zero).payload == (0, 1)
+                assert (zero / x).payload == (0, 1)
+                with pytest.raises(ZeroDivisionError):
+                    x / zero
+        for a in zeros:
+            for b in zeros:
+                assert (a + b).payload == (a - b).payload == (a * b).payload == (0, 1)
+                with pytest.raises(ZeroDivisionError):
+                    a / b
 
     def test_sum_cancels_against_the_shared_denominator(self):
         # 1/(x^2+x) + 1/x: the gcd of the denominators is x, and the new

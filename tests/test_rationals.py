@@ -9,6 +9,7 @@ After every operation the payload must be canonical: an int pair in
 lowest terms with a positive denominator.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -81,6 +82,33 @@ def test_field_operations_match_fraction(seed):
                 x / y
             with pytest.raises(ZeroDivisionError):
                 y.inv()
+
+
+def test_zero_operands_give_canonical_payloads():
+    # a zero on either side returns without a gcd: a sum is the other
+    # operand's payload, a product or quotient the canonical zero (0, 1)
+    rng = random.Random(SEED + 7)
+    others = [Fraction(-1), Fraction(-7, 3), Fraction(5, 12)]
+    for _ in range(20):
+        n = rng.randint(10**39, 10**40 - 1) * rng.choice((1, -1))
+        others.append(Fraction(n, rng.randint(10**39, 10**40 - 1)))
+    zeros = [Q.zero(), Q(0), Q.parse("-0/5"), Q(1) - Q(1)]
+    for f in others:
+        x = element(f)
+        for zero in zeros:
+            assert zero.payload == (0, 1)
+            assert (zero + x).payload == (x + zero).payload == x.payload
+            assert (x - zero).payload == x.payload
+            assert (zero - x).payload == (-x).payload == (-f.numerator, f.denominator)
+            for product in (zero * x, x * zero, zero / x):
+                assert_canonical(product, Fraction(0))
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+    for a, b in itertools.product(zeros, repeat=2):
+        for value in (a + b, a - b, a * b):
+            assert_canonical(value, Fraction(0))
+        with pytest.raises(ZeroDivisionError):
+            a / b
 
 
 def test_integer_operands_match_fraction():

@@ -143,6 +143,64 @@ class TestChar2Golden:
         assert value == target
 
 
+# One row per caller of the shared back-substitution, each of which
+# supplies t = 1/(a1*(x1+w1)): the odd construction with p == s, where
+# x1 = w1 = 1; the odd one with p != s, where x1 + w1 = 1; and the
+# characteristic-2 one with p != s, where w1 = 0.  The witnesses were
+# generated by inverting a1*(x1+w1) in full, so a wrong t changes them.
+BIG_Q_A1 = "1234567890123456789012345678901234567891/97"
+BIG_Q_A2 = "-3/9876543210987654321098765432109876543211"
+BACK_SUBSTITUTION_ROWS = [
+    (
+        Q, BIG_Q_A1, BIG_Q_A2,
+        "[[5555555555555555555555555555555555555557/3,-7777777777777777777777777777777777777771/13],"
+        "[2222222222222222222222222222222222222229/11,5555555555555555555555555555555555555557/3]]",
+        "[[1,-754444444444444444444444444444444444443787/32098765143209876514320987651432098765166],"
+        "[215555555555555555555555555555555555556213/27160493582716049358271604935827160493602,1]]",
+        "[[0,-8551183335086187473626598729268925177921083004322569527406507708824496953029"
+        "464315693533691472964542891888250608321072572055/616488883340488888334048888833404888883778196],"
+        "[1,0]]",
+    ),
+    (
+        Q, BIG_Q_A1, BIG_Q_A2,
+        "[[5555555555555555555555555555555555555557/3,-7777777777777777777777777777777777777771/13],"
+        "[2222222222222222222222222222222222222229/11,-4444444444444444444444444444444444444449/7]]",
+        "[[5091481481248148148124814814812481481483573/51851851385185185138518518513851851851422,"
+        "-754444444444444444444444444444444444443787/16049382571604938257160493825716049382583],"
+        "[215555555555555555555555555555555555556213/13580246791358024679135802467913580246801,"
+        "-5039629629862962962986296296298629629632151/51851851385185185138518518513851851851422]]",
+        "[[0,332267126148824203364307563058922053843163901465613541386686016743841558178248651447"
+        "73134868131974490762002997019864119270058757/90623865851051866585105186658510518665915394812],"
+        "[1,0]]",
+    ),
+    (
+        F2X, "x^3+x+1", "(x^5+x^2)/(x^6+x+1)",
+        "[[(x^5+x^3+x+1)/(x^4+x^2+x),(x^8+x^7+x^4+x+1)/(x^3+x^2+1)],"
+        "[(x^6+x^5+1)/(x^8+x^2+x),(x^15+x^11+x^9+x^5+x^4+x^3+1)/(x^8+x^6+x^5+x^4+x^2+x)]]",
+        "[[(x^4+x+1)/(x^2+1),(x^10+x^9+x^8+x^7+x^6+x^4+x^3+x^2+x+1)/(x^10+x^9+x^8+x^6+x^5+x^4+1)],"
+        "[(x^8+x^7+x^6+x^5+x^2+1)/(x^15+x^13+x^11+x^10+x^9+x^7+x^6+x^5+x^3+x^2+x),0]]",
+        "[[0,(x^36+x^35+x^33+x^32+x^30+x^28+x^25+x^24+x^20+x^17+x^16+x^15+x^14+x^12+x^11+x^9+x^6+x^4+x)"
+        "/(x^28+x^27+x^26+x^24+x^23+x^22+x^20+x^19+x^18+x^15+x^14+x^13+x^12+x^7+x^6+x^5+x^4+x^3+x^2+1)],"
+        "[1,0]]",
+    ),
+]
+
+
+class TestBackSubstitutionGolden:
+    @pytest.mark.parametrize(
+        "field, c1, c2, target, want1, want2",
+        BACK_SUBSTITUTION_ROWS,
+        ids=["odd p == s", "odd p != s", "char 2 p != s"],
+    )
+    def test_exact_witness(self, field, c1, c2, target, want1, want2):
+        a1, a2 = field.parse(c1), field.parse(c2)
+        target = Mat2.parse(field, target)
+        pair = decompose_pair_char2 if field.characteristic == 2 else decompose_pair_odd_char
+        x1, x2 = pair(a1, a2, target)
+        assert (str(x1), str(x2)) == (want1, want2)
+        assert x1.square().scale(a1) + x2.square().scale(a2) == target
+
+
 class TestExhaustiveTotality:
     @pytest.mark.parametrize("field", [GF2, GF3, GF4, GF5], ids=str)
     def test_every_pair_every_target(self, field):
