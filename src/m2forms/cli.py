@@ -98,15 +98,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _coeff_parts(text: str):
+    """Each comma-separated part of --coeffs with its offset in ``text``."""
+    pos = 0
+    for part in text.split(","):
+        yield pos, part
+        pos += len(part) + 1
+
+
 def _parse_int_coeffs(text: str) -> list[int]:
-    parts = [part.strip() for part in text.split(",")]
-    try:
-        # ASCII digits only: int() also takes '_' separators and other scripts' digits
-        if all(re.fullmatch("[+-]?[0-9]+", part) for part in parts):
-            return [int(part) for part in parts]
-    except ValueError:  # more digits than int() converts
-        pass
-    raise ParseError("expected an integer coefficient", text, 0)
+    coeffs = []
+    for pos, part in _coeff_parts(text):
+        try:
+            # ASCII digits only: int() also takes '_' separators and other scripts' digits
+            coeffs.append(int(re.fullmatch("[+-]?[0-9]+", part.strip())[0]))
+        except (TypeError, ValueError):  # no match, or more digits than int() converts
+            raise ParseError("expected an integer coefficient", text, pos) from None
+    return coeffs
 
 
 def _request(args):
@@ -117,10 +125,11 @@ def _request(args):
     # after the field parses, like each handler's imports: a bad descriptor exits 3 first
     from .matrices import DiagonalForm
 
-    parts = args.coeffs.split(",")
-    if any(not part.strip() for part in parts):
-        raise ParseError("empty coefficient", args.coeffs, 0)
-    form = DiagonalForm(field, [field.parse(part) for part in parts])
+    parts = list(_coeff_parts(args.coeffs))
+    for pos, part in parts:
+        if not part.strip():
+            raise ParseError("empty coefficient", args.coeffs, pos)
+    form = DiagonalForm(field, [field.parse(part) for _, part in parts])
     return form, {"field": str(field), "coeffs": [str(c) for c in form.coeffs]}
 
 

@@ -136,6 +136,32 @@ def _parse_poly_text(text: str, var: str, start: int, end: int) -> list[int]:
     return coeffs
 
 
+_MARKS = re.compile(r"[][,/()]")
+
+
+def _scan_marks(text: str, start: int, end: int):
+    """Yield ``(i, ch)`` for the marks of ``text[start:end]`` outside parentheses.
+
+    The marks are '[', ']', ',', '/' and each parenthesis that opens or
+    closes at depth 0, so a yielded '(' is followed by its own ')'.  An
+    unmatched ')' raises at its position, an unclosed '(' at ``end - 1``.
+    """
+    depth = 0
+    for m in _MARKS.finditer(text, start, end):
+        i = m.start()
+        ch = text[i]
+        if ch == ")":
+            if not depth:
+                raise ParseError("unbalanced ')'", text, i)
+            depth -= 1
+        if not depth:
+            yield i, ch
+        if ch == "(":
+            depth += 1
+    if depth:
+        raise ParseError("unbalanced '('", text, end - 1)
+
+
 def _render_term(coeff: int, exp: int, var: str) -> str:
     if exp == 0:
         return str(coeff)

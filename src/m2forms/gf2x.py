@@ -11,11 +11,12 @@ the even-exponent digits off the base-2 text by slicing, which no
 int/str digit limit covers.
 
 ``RationalFunctionField2`` sits here beside its kernel, so that only the
-F2(X) descriptor makes ``fields.field_from_string`` compile it.
+F2(X) descriptor makes ``fields.field_from_string`` compile it.  Its
+parser finds the top-level '/' with ``fields._scan_marks``.
 """
 
 from .errors import ParseError
-from .fields import FieldElement, _Fractions, _parse_poly_text, _render_poly
+from .fields import FieldElement, _Fractions, _parse_poly_text, _render_poly, _scan_marks
 
 
 def mul(a, b):
@@ -129,25 +130,24 @@ class RationalFunctionField2(_Fractions):
         return (a[1], a[0])
 
     def _parse_payload(self, s):
-        depth = 0
-        slash = -1
-        for i, ch in enumerate(s):
+        slash, groups, opened = len(s), set(), 0
+        for i, ch in _scan_marks(s, 0, len(s)):
             if ch == "(":
-                depth += 1
+                opened = i
             elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    raise ParseError("unbalanced ')'", s, i)
-            elif ch == "/" and depth == 0 and slash == -1:
+                groups.add((opened, i + 1))  # a top-level group s[opened:i+1]
+            elif ch == "/" and slash == len(s):
                 slash = i
-        if depth != 0:
-            raise ParseError("unbalanced '('", s, len(s) - 1)
-        if slash == -1:
-            return self._reduce(_parse_poly_bits(s, *_strip_parens(s, 0, len(s))), 1)
-        den = _parse_poly_bits(s, *_strip_parens(s, slash + 1, len(s)))
+
+        def side(start, end):  # s[start:end] packed, less one pair of parens around all of it
+            if (start, end) in groups:
+                start, end = start + 1, end - 1
+            return sum(1 << e for e, c in enumerate(_parse_poly_text(s, "x", start, end)) if c % 2)
+
+        den = side(slash + 1, len(s)) if slash < len(s) else 1
         if den == 0:
             raise ParseError("zero denominator", s, slash + 1)
-        return self._reduce(_parse_poly_bits(s, *_strip_parens(s, 0, slash)), den)
+        return self._reduce(side(0, slash), den)
 
     def _render(self, a):
         num, den = a
@@ -162,26 +162,6 @@ class RationalFunctionField2(_Fractions):
         while den == 0:
             den = rng.randrange(32)
         return FieldElement(self, self._reduce(num, den))
-
-
-def _strip_parens(s: str, start: int, end: int) -> tuple[int, int]:
-    """The bounds of ``s[start:end]`` less one pair of parens spanning all of it."""
-    if end - start >= 2 and s[start] == "(" and s[end - 1] == ")":
-        depth = 0
-        for i in range(start, end):
-            if s[i] == "(":
-                depth += 1
-            elif s[i] == ")":
-                depth -= 1
-                if depth == 0 and i != end - 1:
-                    return start, end  # outer parens do not span the whole text
-        return start + 1, end - 1
-    return start, end
-
-
-def _parse_poly_bits(s: str, start: int, end: int) -> int:
-    """Parse whitespace-free ``s[start:end]`` in x as a packed GF(2)[x] polynomial."""
-    return sum(1 << e for e, c in enumerate(_parse_poly_text(s, "x", start, end)) if c % 2)
 
 
 def _render_bits(bits: int, var: str) -> str:

@@ -4,12 +4,14 @@ Matrices are immutable and hashable, with entries e11, e12, e21, e22 all
 from one field; combining matrices over two fields raises the element
 layer's FieldMismatchError.  A DiagonalForm holds an ordered coefficient
 vector (a1, ..., am) and evaluates sum(ai * Xi**2) at a tuple of matrices.
+``Mat2.parse`` splits ``[[a,b],[c,d]]`` with ``fields._scan_marks``, which
+names an unbalanced parenthesis at its position in the matrix text.
 """
 
 from __future__ import annotations
 
 from .errors import ArityMismatchError, FieldMismatchError, ParseError
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, _scan_marks
 
 
 class Mat2:
@@ -143,52 +145,34 @@ class Mat2:
     @classmethod
     def parse(cls, field: Field, text: str) -> Mat2:
         """Parse ``[[e,e],[e,e]]`` with entries in the field's grammar."""
-        s = "".join(str(text).split())
-        parts = _split_matrix(s)
-        return cls(*(field.parse(part) for part in parts))
+        return cls(*map(field.parse, _split_matrix("".join(str(text).split()))))
 
 
 def _split_matrix(s: str):
-    """Split ``[[a,b],[c,d]]`` into the four entry substrings."""
-
-    def fail(msg, pos):
-        raise ParseError(msg, s, pos)
-
-    def read_entry(i, stop):
-        depth = 0
-        j = i
-        while j < len(s):
-            ch = s[j]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == stop and depth == 0:
-                if j == i:
-                    fail("empty matrix entry", i)
-                return s[i:j], j
-            elif ch in "[]," and depth == 0:
-                fail(f"unexpected {ch!r} in entry", j)
-            j += 1
-        fail(f"expected {stop!r}", len(s))
-
-    def expect(i, token):
-        if not s.startswith(token, i):
-            fail(f"expected {token!r}", i)
-        return i + len(token)
-
-    i = expect(0, "[[")
-    a, i = read_entry(i, ",")
-    i += 1
-    b, i = read_entry(i, "]")
-    i = expect(i + 1, ",[")
-    c, i = read_entry(i, ",")
-    i += 1
-    d, i = read_entry(i, "]")
-    i = expect(i + 1, "]")
+    """Split ``[[a,b],[c,d]]`` at the ',' and ']' outside parentheses."""
+    if not s.startswith("[["):
+        raise ParseError("expected '[['", s, 0)
+    marks = _scan_marks(s, 2, len(s))
+    entries, i = [], 2
+    for stop, then in ((",", ""), ("]", ",["), (",", ""), ("]", "]")):
+        for j, ch in marks:
+            if ch in "[],":
+                break
+        else:
+            j, ch = len(s), ""
+        if ch != stop:
+            raise ParseError(f"unexpected {ch!r} in entry" if ch else f"expected {stop!r}", s, j)
+        if j == i:
+            raise ParseError("empty matrix entry", s, i)
+        entries.append(s[i:j])
+        if not s.startswith(then, j + 1):
+            raise ParseError(f"expected {then!r}", s, j + 1)
+        for _ in then:  # its characters are marks too
+            next(marks)
+        i = j + 1 + len(then)
     if i != len(s):
-        fail("trailing characters after matrix", i)
-    return a, b, c, d
+        raise ParseError("trailing characters after matrix", s, i)
+    return entries
 
 
 class DiagonalForm:

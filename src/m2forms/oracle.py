@@ -12,7 +12,7 @@ hooks, built afresh for each set, and keys its members by payload
 4-tuples; a sweep walks the targets' payload 4-tuples and subtracts
 with the field's ``_sub`` hook.  Only results (a first counterexample,
 a witness, ``first_preimage`` when read) become ``Mat2``.  The X1 scan
-of a query stays on ``Mat2``.
+of a query stays on ``Mat2`` and forms a1 * X1**2 as ``X1.square(a1)``.
 
 ``first_solution`` and ``first_unrepresentable`` answer every one- and
 two-term query (CLI, single-term explanation) over fields of order at
@@ -148,7 +148,7 @@ def representable_two_term(
         x2 = first.get(tuple(field(e).payload for e in target.entries()))
         return None if x2 is None else (Mat2.zero(field), square_set._matrix(x2))
     for x1 in all_matrices(field):
-        x2 = first.get(_payloads(target - x1.square().scale(a1)))
+        x2 = first.get(_payloads(target - x1.square(a1)))
         if x2 is not None:
             return x1, square_set._matrix(x2)
     return None

@@ -418,7 +418,7 @@ class TestErrorExactOutput:
             ),
             (
                 ["universal", "--field", "Q", "--coeffs", "1,,2"], 3,
-                "error: empty coefficient (at position 0 in '1,,2')\n",
+                "error: empty coefficient (at position 2 in '1,,2')\n",
             ),
             (
                 ["decompose", "--field", "Q", "--coeffs", "1,1", "--target", "[[1,2],[3"], 3,
@@ -431,7 +431,7 @@ class TestErrorExactOutput:
             ),
             (
                 ["universal-z", "--coeffs", "1,x"], 3,
-                "error: expected an integer coefficient (at position 0 in '1,x')\n",
+                "error: expected an integer coefficient (at position 2 in '1,x')\n",
             ),
         ],
         ids=["BadRequest", "ParseError-field", "ParseError-oracle-field", "ParseError-modulus",

@@ -6,7 +6,10 @@ field descriptors, coefficient lists and matrices, with and without
 2, 3 or 4, let no exception escape ``cli.main`` and print no traceback.
 A second test puts each malformed entry into each field: together they
 reach every message of the polynomial reader, and the terms ``*t`` and
-``2t``, outside the term grammar, exit 3 in every field.
+``2t``, outside the term grammar, exit 3 in every field.  A third puts
+each malformed matrix into each field: each exits 3, and together they
+reach every message of the matrix reader, unbalanced parentheses
+included.
 """
 
 import random
@@ -48,7 +51,14 @@ BAD_FIELDS = (
     "GF(9);modulus=t^2+2", "GF(9);modulus=t^3+1", "GF(7);modulus=t+1", "F2(Y)", "R",
     "GF(" + "9" * 40 + ")",
 )
-BAD_MATRICES = ("", "[[1,2],[3]]", "[[1,2],[3,4]]]", "[1,2,3,4]", "[[,],[,]]", "[[1,2][3,4]]")
+BAD_MATRICES = (
+    "", "[[1,2],[3]]", "[[1,2],[3,4]]]", "[1,2,3,4]", "[[,],[,]]", "[[1,2][3,4]]",
+    "[[1,2],[3", "[[1,2],[3,4]", "[[x),0],[0,0]]", "[[1,(2],[3,4]]",
+)
+MATRIX_MESSAGES = (
+    "expected '[['", "expected ','", "expected ']'", "expected ',['", "empty matrix entry",
+    "trailing characters after matrix", "unbalanced ')'", "unbalanced '('",
+)
 
 
 def _entry(rng, entries):
@@ -116,11 +126,26 @@ def test_seeded_argv_fuzz(capsys):
     assert time.perf_counter() - start < BUDGET_S
 
 
+def _message(err):
+    return err.removeprefix("error: ").partition(" (at ")[0]
+
+
 def test_malformed_entries_in_every_field(capsys):
     messages = set()
     for field in FIELDS:
         for entry in MALFORMED:
             code = main(["universal", "--field", field, "--coeffs", f"1,{entry}"])
             assert code == 3 if entry in NO_TERM else code in EXIT_CODES, (field, entry)
-            messages.add(capsys.readouterr().err.removeprefix("error: ").partition(" (at ")[0])
+            messages.add(_message(capsys.readouterr().err))
     assert set(READER_MESSAGES) <= messages
+
+
+def test_malformed_matrices_in_every_field(capsys):
+    messages = set()
+    for field in FIELDS:
+        for matrix in BAD_MATRICES:
+            code = main(["decompose", "--field", field, "--coeffs", "1,1", "--target", matrix])
+            assert code == 3, (field, matrix)
+            messages.add(_message(capsys.readouterr().err))
+    assert set(MATRIX_MESSAGES) <= messages
+    assert any(m.startswith("unexpected ") and m.endswith(" in entry") for m in messages)

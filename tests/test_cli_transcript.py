@@ -124,7 +124,7 @@ def test_closed_stderr_keeps_the_exit_code(args, code, unbuffered, pythons):
 FULL_STDOUT = [
     ("universal-z --coeffs 1,1,1", 1, ""),
     ("universal-z --coeffs 1,1,1 --json", 1, ""),
-    ("universal-z --coeffs 1,x", 3, "error: expected an integer coefficient (at position 0 in '1,x')\n"),
+    ("universal-z --coeffs 1,x", 3, "error: expected an integer coefficient (at position 2 in '1,x')\n"),
     ("universal-z --coeffs 1,x --json", 1, ""),
     ("--help", 1, ""),
 ]
@@ -135,7 +135,7 @@ FULL_STDERR = [
     ("universal-z --coeffs 1,1,1 --json", 0, '{"coeffs": [1, 1, 1], "universal": true}\n'),
     ("universal-z --coeffs 1,x", 1, ""),
     ("universal-z --coeffs 1,x --json", 3,
-     '{"error": "ParseError", "message": "expected an integer coefficient (at position 0 in \'1,x\')"}\n'),
+     '{"error": "ParseError", "message": "expected an integer coefficient (at position 2 in \'1,x\')"}\n'),
     ("decompose --field Q", 1, ""),  # an argparse usage error
 ]
 

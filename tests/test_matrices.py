@@ -248,6 +248,26 @@ class TestParsing:
         with pytest.raises(ParseError):
             Mat2.parse(GF5, bad)
 
+    @pytest.mark.parametrize(
+        "field, text, message, pos",
+        [
+            (Q, "[[1/2),0],[0,1]]", "unbalanced ')'", 5),
+            (Q, "[[1,(2],[3,4]]", "unbalanced '('", 13),
+            (GF5, "[[1,2],[3),4]]", "unbalanced ')'", 9),
+            (GF5, "[[(1,2],[3,4]]", "unbalanced '('", 13),
+            (GF9, "[[t),0],[0,0]]", "unbalanced ')'", 3),
+            (GF9, "[[t+1,(2*t],[t,1]]", "unbalanced '('", 17),
+            (F2X, "[[x,(x)/(x))],[0,1]]", "unbalanced ')'", 11),
+            (F2X, "[[(x+1)/(x,0],[0,1]]", "unbalanced '('", 19),
+        ],
+    )
+    def test_unbalanced_parenthesis_is_named_where_it_is(self, field, text, message, pos):
+        """An unmatched ')' at its position in the matrix text, an unclosed '(' at the last character."""
+        with pytest.raises(ParseError) as info:
+            Mat2.parse(field, text)
+        assert str(info.value) == f"{message} (at position {pos} in {text!r})"
+        assert (info.value.text, info.value.pos) == (text, pos)
+
 
 class TestDiagonalForm:
     def test_needs_a_coefficient(self):
