@@ -12,7 +12,8 @@ Subcommands:
 Exit codes are stable: 0 for success or a Universal verdict, 1 when the
 answer could not be written (a full disk, say), 2 for a negative verdict
 or an unsolvable target, 3 for malformed input, 4 when a resource bound
-(the oracle's field order 16 or two terms) is exceeded.
+(the oracle's field order 16 or two terms) is exceeded or a decomposition
+is too large for the readers to take back.
 
 Each handler returns ``(code, lines, payload)`` and ``main`` alone prints:
 the lines, or with --json the payload as one JSON object. An error is an
@@ -149,6 +150,7 @@ def _matrix_lines(matrices) -> list[str]:
 def _cmd_decompose(args):
     form, base = _request(args)
     target = _target(args, form, base)
+    from .matrices import Mat2
     from .solver import decompose
 
     try:
@@ -160,8 +162,18 @@ def _cmd_decompose(args):
     except NotASquareError as exc:
         error = {"error": "NotASquare", "element": str(exc.element)}
         return EXIT_NEGATIVE, [f"NotASquare({exc.element})"], base | error
-    lines = [*_matrix_lines(result.matrices), "check: OK"]
-    return EXIT_OK, lines, base | {"matrices": [str(m) for m in result.matrices], "verified": True}
+    # print only what the readers take back: str() stops past 4,300 digits, parse past x^4096
+    texts = []
+    for i, matrix in enumerate(result.matrices):
+        try:
+            texts.append(str(matrix))
+            Mat2.parse(form.field, texts[-1])
+        except ValueError:
+            message = (f"answer too large to print: X{i + 1} holds a number or exponent"
+                       " past the matrix reader's bounds")
+            return EXIT_LIMIT, None, {"error": "AnswerTooLarge", "message": message}
+    lines = [*_matrix_lines(texts), "check: OK"]
+    return EXIT_OK, lines, base | {"matrices": texts, "verified": True}
 
 
 def _cmd_verify(args):

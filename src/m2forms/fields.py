@@ -447,11 +447,57 @@ class _Fractions(Field):
     first (Henrici); both stay per ring, on the ring's own operators.
     Either returns without a gcd for a zero operand: a sum is the other
     operand's payload and a product the canonical zero (0, 1).
+    ``_ring_mul``, ``_ring_add`` and ``_ring_sub`` are the ring's own
+    operators, for ``_sums_to``, which never reduces.
     """
 
     def _reduce(self, num, den):
         g = self._gcd(num, den)
         return (self._quo(num, g), self._quo(den, g))
+
+    def _sums_to(self, terms, target):
+        """Whether sum(a * X**2) over ``terms`` is ``target``, never reducing.
+
+        ``terms`` pairs a coefficient's payload with the four entry
+        payloads of its X, and ``target`` holds four payloads.  Each
+        a*X**2 is (a*t)*X - (a*det X)*I with t = tr X (Cayley-Hamilton),
+        added entry by entry on fractions never put in lowest terms: a
+        product multiplies straight through, a sum over unequal
+        denominators cross-multiplies, and a zero operand short-cuts
+        both, so no gcd is taken.  A sum S/D matches the target's n/d
+        when S*d == n*D.
+        """
+        mul, add, sub = self._ring_mul, self._ring_add, self._ring_sub
+
+        def plus(a, b):
+            (n1, d1), (n2, d2) = a, b
+            if not n1:
+                return b
+            if not n2:
+                return a
+            if d1 == d2:
+                return (add(n1, n2), d1)
+            return (add(mul(n1, d2), mul(n2, d1)), mul(d1, d2))
+
+        def minus(a, b):
+            return plus(a, (sub(0, b[0]), b[1]))
+
+        def times(a, b):
+            (n1, d1), (n2, d2) = a, b
+            if not n1 or not n2:
+                return (0, 1)
+            return (mul(n1, n2), mul(d1, d2))
+
+        sums = [(0, 1)] * 4
+        for a, (x11, x12, x21, x22) in terms:
+            if not a[0] or not (x11[0] or x12[0] or x21[0] or x22[0]):
+                continue
+            t = times(a, plus(x11, x22))
+            det = times(a, minus(times(x11, x22), times(x12, x21)))
+            term = (minus(times(t, x11), det), times(t, x12), times(t, x21),
+                    minus(times(t, x22), det))
+            sums = [plus(s, x) for s, x in zip(sums, term)]
+        return all(mul(s, d) == mul(n, den) for (s, den), (n, d) in zip(sums, target))
 
     def _is_zero(self, a):
         return a[0] == 0
@@ -473,6 +519,7 @@ class Rationals(_Fractions):
     _RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
     _gcd = math.gcd
     _quo = operator.floordiv
+    _ring_mul, _ring_add, _ring_sub = operator.mul, operator.add, operator.sub
 
     def __repr__(self):
         return "Q"

@@ -15,6 +15,8 @@ F2(X) descriptor makes ``fields.field_from_string`` compile it.  Its
 parser finds the top-level '/' with ``fields._scan_marks``.
 """
 
+import operator
+
 from .errors import ParseError
 from .fields import FieldElement, _Fractions, _parse_poly_text, _render_poly, _scan_marks
 
@@ -88,6 +90,8 @@ class RationalFunctionField2(_Fractions):
     _gcd = staticmethod(gcd)
     _quo = staticmethod(_quo)
     _root = staticmethod(sqrt)
+    _ring_mul = staticmethod(mul)
+    _ring_add = _ring_sub = operator.xor
 
     def __repr__(self):
         return "F2(X)"

@@ -3,7 +3,9 @@
 Matrices are immutable and hashable, with entries e11, e12, e21, e22 all
 from one field; combining matrices over two fields raises the element
 layer's FieldMismatchError.  A DiagonalForm holds an ordered coefficient
-vector (a1, ..., am) and evaluates sum(ai * Xi**2) at a tuple of matrices.
+vector (a1, ..., am) and evaluates sum(ai * Xi**2) at a tuple of matrices;
+``evaluates_to`` tests that value against a target, over Q and F2(X) by
+cross-multiplying unreduced fractions instead of building the value.
 ``Mat2.parse`` splits ``[[a,b],[c,d]]`` with ``fields._scan_marks``, which
 names an unbalanced parenthesis at its position in the matrix text.
 """
@@ -11,7 +13,7 @@ names an unbalanced parenthesis at its position in the matrix text.
 from __future__ import annotations
 
 from .errors import ArityMismatchError, FieldMismatchError, ParseError
-from .fields import Field, FieldElement, _scan_marks
+from .fields import Field, FieldElement, _Fractions, _scan_marks
 
 
 class Mat2:
@@ -229,3 +231,21 @@ class DiagonalForm:
                 )
             total = total + mat.square(coeff)
         return total
+
+    def evaluates_to(self, matrices, target: Mat2) -> bool:
+        """Whether ``evaluate(matrices) == target``, raising what evaluate raises.
+
+        Over Q and F2(X) the fraction field tests it by cross-multiplying
+        (``_Fractions._sums_to``), and no value in lowest terms is built.
+        """
+        field = self.field
+        if not isinstance(field, _Fractions) or target.field != field:
+            return self.evaluate(matrices) == target
+        matrices = tuple(matrices)
+        if len(matrices) != len(self.coeffs) or any(m.field != field for m in matrices):
+            self.evaluate(matrices)  # raises its ArityMismatchError or FieldMismatchError
+        terms = (
+            (c.payload, (m.e11.payload, m.e12.payload, m.e21.payload, m.e22.payload))
+            for c, m in zip(self.coeffs, matrices)
+        )
+        return field._sums_to(terms, tuple(e.payload for e in target.entries()))

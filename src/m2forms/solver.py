@@ -14,6 +14,11 @@ separate branches for scalar targets (where [[0,1],[c,0]]**2 = c*I covers
 a missing root) and for targets that differ from scalar only off the
 diagonal.  Over a non-perfect field another required root may not exist,
 and the solver raises NotASquareError naming the element that has none.
+
+Every answer is a Decomposition, which checks itself when it is built
+through DiagonalForm.evaluates_to: by evaluating the form over the
+finite fields, and over Q and F2(X) by cross-multiplying, with no value
+in lowest terms built unless the check fails and the error names it.
 """
 
 from __future__ import annotations
@@ -32,13 +37,13 @@ from .matrices import DiagonalForm, Mat2
 
 
 class Decomposition(namedtuple("Decomposition", "form target matrices")):
-    """A verified solution: evaluating the form at ``matrices`` gives ``target``."""
+    """A verified solution: the form at ``matrices`` is ``target``, checked when built."""
 
     __slots__ = ()
 
     def __new__(cls, form: DiagonalForm, target: Mat2, matrices: tuple[Mat2, ...]):
-        value = form.evaluate(matrices)
-        if value != target:
+        if not form.evaluates_to(matrices, target):
+            value = form.evaluate(matrices)
             raise ValueError(f"matrices evaluate to {value}, not the target {target}")
         return super().__new__(cls, form, target, matrices)
 

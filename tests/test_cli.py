@@ -115,6 +115,24 @@ class TestDecompose:
         assert code == 3
         assert json.loads(out)["error"] == "ParseError"
 
+    # the library decomposes both targets, but X2 holds a 4,401-digit entry
+    # over Q and x^8188 over F2(X): past what str() renders or Mat2.parse reads
+    TOO_LARGE = [
+        ("Q", f"[[{'9' * 2200},1],[1,{'9' * 2200}/7]]"),
+        ("F2(X)", "[[x^4096,x^4095],[x^4093,1]]"),
+    ]
+    TOO_LARGE_MESSAGE = (
+        "answer too large to print: X2 holds a number or exponent past the matrix reader's bounds"
+    )
+
+    @pytest.mark.parametrize("field, target", TOO_LARGE, ids=["Q", "F2X"])
+    def test_answer_too_large_to_print(self, capsys, field, target):
+        argv = ["decompose", "--field", field, "--coeffs", "1,1", "--target", target]
+        assert run(capsys, *argv) == (4, "", f"error: {self.TOO_LARGE_MESSAGE}\n")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (4, "")
+        assert json.loads(out) == {"error": "AnswerTooLarge", "message": self.TOO_LARGE_MESSAGE}
+
 
 class TestVerify:
     def test_accepts_correct_solution(self, capsys):

@@ -4,14 +4,17 @@ About a thousand argvs mix all six commands, well-formed and malformed
 field descriptors, coefficient lists and matrices, with and without
 --json.  Each must return (or, for argparse usage errors, exit with) 0,
 2, 3 or 4, let no exception escape ``cli.main`` and print no traceback.
-A second test puts each malformed entry into each field: together they
-reach every message of the polynomial reader, and the terms ``*t`` and
-``2t``, outside the term grammar, exit 3 in every field.  A third puts
-each malformed matrix into each field: each exits 3, and together they
-reach every message of the matrix reader, unbalanced parentheses
-included.
+Every ``decompose`` answer that exits 0, from the fuzz and from twenty
+well-formed requests per field, goes back through ``verify`` as printed
+and must exit 0 with ``check: OK``.  Another test puts each malformed
+entry into each field: together they reach every message of the
+polynomial reader, and the terms ``*t`` and ``2t``, outside the term
+grammar, exit 3 in every field.  A last one puts each malformed matrix
+into each field: each exits 3, and together they reach every message of
+the matrix reader, unbalanced parentheses included.
 """
 
+import json
 import random
 import time
 
@@ -19,6 +22,7 @@ from m2forms.cli import main
 
 SEED = 20201
 RUNS = 1000
+ROUND_TRIPS = 20  # decompose requests per field whose answers go back through verify
 BUDGET_S = 3.0
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -114,16 +118,48 @@ def _run(argv):
         return exc.code
 
 
+def _verify_answer(capsys, argv, out):
+    """Run ``verify`` on the matrices a successful ``decompose`` printed."""
+    if "--json" in argv:
+        matrices = json.loads(out)["matrices"]
+    else:
+        matrices = [line.partition(" = ")[2] for line in out.splitlines()[:-1]]
+    request = [a for a in argv[1:] if a != "--json"]
+    code = main(["verify", *request, "--matrices", *matrices])
+    assert (code, capsys.readouterr().out) == (0, "check: OK\n"), argv
+
+
 def test_seeded_argv_fuzz(capsys):
     rng = random.Random(SEED)
     start = time.perf_counter()
     for _ in range(RUNS):
         argv = _argv(rng)
         code = _run(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code in EXIT_CODES, argv
         assert "Traceback" not in err, argv
+        if argv[0] == "decompose" and code == 0:
+            _verify_answer(capsys, argv, out)
     assert time.perf_counter() - start < BUDGET_S
+
+
+def test_decompose_answers_verify_in_every_field(capsys):
+    rng = random.Random(SEED)
+    for field, entries in FIELDS.items():
+        solved = 0
+        for i in range(ROUND_TRIPS):
+            coeffs = ",".join(rng.choice(entries) for _ in range(rng.randint(2, 4)))
+            target = "[[{},{}],[{},{}]]".format(*(rng.choice(entries) for _ in range(4)))
+            # '=' keeps a leading '-' from reading as an option
+            argv = ["decompose", "--field", field, f"--coeffs={coeffs}", f"--target={target}"]
+            argv += ["--json"] * (i % 2)
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert code in EXIT_CODES, argv
+            if code == 0:
+                _verify_answer(capsys, argv, out)
+                solved += 1
+        assert solved, field
 
 
 def _message(err):

@@ -211,6 +211,53 @@ class TestOneSquaringFormula:
             DiagonalForm(GF5, [0, 1]).evaluate([Mat2.identity(F2X), Mat2.zero(GF5)])
 
 
+def rand_fraction(field, rng):
+    """Q: small, or signed with 40-digit parts; F2(X): quotients up to degree 12."""
+    if field is Q and rng.random() < 0.5:
+        return Q(rng.choice((-1, 1)) * rng.randint(0, 10**40)) / Q(rng.randint(1, 10**40))
+    r = field.random_element
+    return r(rng) * r(rng) + r(rng)
+
+
+class TestEvaluatesTo:
+    """Over Q and F2(X) evaluates_to cross-multiplies; it must agree with evaluate."""
+
+    @pytest.mark.parametrize("field", [Q, F2X], ids=str)
+    def test_agrees_with_evaluate(self, field):
+        rng = random.Random(31)
+        for m in range(1, 5):
+            for _ in range(40):
+                # about a quarter of the coefficients, and of the matrices, are zero
+                coeffs = [field.zero() if rng.random() < 0.25 else rand_fraction(field, rng)
+                          for _ in range(m)]
+                xs = [Mat2.zero(field) if rng.random() < 0.25 else
+                      Mat2(*(field.zero() if rng.random() < 0.2 else rand_fraction(field, rng)
+                             for _ in range(4)))
+                      for _ in range(m)]
+                form = DiagonalForm(field, coeffs)
+                value = form.evaluate(xs)
+                assert form.evaluates_to(xs, value)
+                for k in range(4):  # the value with any one entry changed
+                    entries = list(value.entries())
+                    entries[k] += rand_fraction(field, rng) or field.one()
+                    assert not form.evaluates_to(xs, Mat2(*entries))
+                other = rand_mat(field, rng)
+                assert form.evaluates_to(xs, other) == (value == other)
+
+    @pytest.mark.parametrize("field", [Q, GF5, F2X], ids=str)
+    def test_raises_what_evaluate_raises(self, field):
+        form = DiagonalForm(field, [1, 0])
+        target = Mat2.zero(field)
+        with pytest.raises(ArityMismatchError):
+            form.evaluates_to([Mat2.zero(field)], target)
+        with pytest.raises(FieldMismatchError):
+            form.evaluates_to([Mat2.zero(field), Mat2.zero(GF3)], target)
+
+    def test_target_over_another_field_is_not_the_value(self):
+        form = DiagonalForm(Q, [1, 1])
+        assert not form.evaluates_to([Mat2.zero(Q)] * 2, Mat2.zero(GF5))
+
+
 class TestParsing:
     def test_parse_with_whitespace(self):
         m = Mat2.parse(Q, " [[ 1/5 , 2 ], [ 0, -1 ]] ")

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from m2forms import (
+    ArityMismatchError,
     CharacteristicError,
     Decomposition,
     DiagonalForm,
@@ -284,3 +285,31 @@ class TestDecomposition:
         xs = (Mat2.identity(GF3), Mat2.of(GF3, [[0, 2], [1, 0]]))
         d = Decomposition(form, target, xs)
         assert d.matrices == xs
+
+    # over Q and F2(X) the constructor checks by cross-multiplying, not by evaluate
+    FRACTION_CASES = [
+        (Q, [2, 1, 0], "[[1/5,2],[0,-1]]"),
+        (Q, [3, -7], f"[[{'9' * 40}/7,-1/{'3' * 40}],[5,{'8' * 40}]]"),
+        (F2X, [1, "x", 1], "[[x^2+1,1/(x+1)],[x,1]]"),
+    ]
+
+    @pytest.mark.parametrize("field, coeffs, target", FRACTION_CASES, ids=["Q", "Q40", "F2X"])
+    def test_fraction_fields_reject_one_wrong_matrix(self, field, coeffs, target):
+        form = DiagonalForm(field, coeffs)
+        target = Mat2.parse(field, target)
+        xs = decompose(form, target).matrices
+        assert Decomposition(form, target, xs).matrices == xs
+        for i in form.nonzero_indices():
+            wrong = list(xs)
+            wrong[i] = xs[i] + Mat2.identity(field)
+            with pytest.raises(ValueError, match="not the target"):
+                Decomposition(form, target, tuple(wrong))
+
+    @pytest.mark.parametrize("field", [Q, F2X], ids=str)
+    def test_fraction_fields_reject_wrong_arity_and_field(self, field):
+        form = DiagonalForm(field, [1, 1])
+        target = Mat2.identity(field)
+        with pytest.raises(ArityMismatchError):
+            Decomposition(form, target, (Mat2.identity(field),))
+        with pytest.raises(FieldMismatchError):
+            Decomposition(form, target, (Mat2.identity(field), Mat2.zero(GF3)))
