@@ -13,7 +13,8 @@ Exit codes are stable: 0 for success or a Universal verdict, 1 when the
 answer could not be written (a full disk, say), 2 for a negative verdict
 or an unsolvable target, 3 for malformed input, 4 when a resource bound
 (the oracle's field order 16 or two terms) is exceeded or a decomposition
-is too large for the readers to take back.
+is too large for the readers to take back. A ``verify`` value too large
+to print still fails its check with exit 2, and its value is not printed.
 
 Each handler returns ``(code, lines, payload)`` and ``main`` alone prints:
 the lines, or with --json the payload as one JSON object. An error is an
@@ -184,8 +185,13 @@ def _cmd_verify(args):
     matrices = [Mat2.parse(form.field, text) for text in args.matrices]
     value = form.evaluate(matrices)
     verified = value == target
-    lines = ["check: OK"] if verified else ["check: FAIL", f"value: {value}"]
-    echo |= {"matrices": [str(m) for m in matrices], "value": str(value), "verified": verified}
+    try:
+        value_text = str(value)
+    except ValueError:  # an entry past Python's int-to-str limit: the check still stands
+        value_text = None
+    shown = "too large to print" if value_text is None else value_text
+    lines = ["check: OK"] if verified else ["check: FAIL", f"value: {shown}"]
+    echo |= {"matrices": [str(m) for m in matrices], "value": value_text, "verified": verified}
     return (EXIT_OK if verified else EXIT_NEGATIVE), lines, echo
 
 

@@ -162,6 +162,10 @@ def _scan_marks(text: str, start: int, end: int):
         raise ParseError("unbalanced '('", text, end - 1)
 
 
+def _same(a):
+    return a
+
+
 def _render_term(coeff: int, exp: int, var: str) -> str:
     if exp == 0:
         return str(coeff)
@@ -398,6 +402,15 @@ class Field:
     def _render(self, a):
         return str(a)
 
+    def _payload_ops(self):
+        """``(add, sub, mul, div, canonical)`` on payloads, for building answers.
+
+        A payload these hooks return is canonical already, so ``canonical``
+        is the identity.  ``_Fractions`` returns unreduced operations and
+        its ``_reduce`` instead.
+        """
+        return self._add, self._sub, self._mul, self._div, _same
+
     def _sqrt(self, a):
         """Square root in a finite field; the infinite families override it.
 
@@ -447,27 +460,28 @@ class _Fractions(Field):
     first (Henrici); both stay per ring, on the ring's own operators.
     Either returns without a gcd for a zero operand: a sum is the other
     operand's payload and a product the canonical zero (0, 1).
-    ``_ring_mul``, ``_ring_add`` and ``_ring_sub`` are the ring's own
-    operators, for ``_sums_to``, which never reduces.
+
+    ``_payload_ops`` defines the unreduced operations once, on the ring's
+    own ``_ring_mul``, ``_ring_add`` and ``_ring_sub``: fraction pairs
+    never put in lowest terms, with ``_reduce`` as the canonical step.
+    The odd-characteristic construction, hence Q's, reduces each answer
+    entry once with them, and ``_sums_to`` never reduces.
     """
 
     def _reduce(self, num, den):
         g = self._gcd(num, den)
         return (self._quo(num, g), self._quo(den, g))
 
-    def _sums_to(self, terms, target):
-        """Whether sum(a * X**2) over ``terms`` is ``target``, never reducing.
+    def _payload_ops(self):
+        """``(plus, minus, times, over, canonical)`` on unreduced pairs.
 
-        ``terms`` pairs a coefficient's payload with the four entry
-        payloads of its X, and ``target`` holds four payloads.  Each
-        a*X**2 is (a*t)*X - (a*det X)*I with t = tr X (Cayley-Hamilton),
-        added entry by entry on fractions never put in lowest terms: a
-        product multiplies straight through, a sum over unequal
+        A product multiplies straight through, a sum over unequal
         denominators cross-multiplies, and a zero operand short-cuts
-        both, so no gcd is taken.  A sum S/D matches the target's n/d
-        when S*d == n*D.
+        both, so no gcd is taken; a quotient is the cross product, and a
+        Q denominator's sign is left to ``_reduce``.  ``canonical`` is
+        ``_reduce`` on a pair, which a denominator of 1 needs no gcd for.
         """
-        mul, add, sub = self._ring_mul, self._ring_add, self._ring_sub
+        mul, add, sub, reduce = self._ring_mul, self._ring_add, self._ring_sub, self._reduce
 
         def plus(a, b):
             (n1, d1), (n2, d2) = a, b
@@ -488,6 +502,29 @@ class _Fractions(Field):
                 return (0, 1)
             return (mul(n1, n2), mul(d1, d2))
 
+        def over(a, b):
+            (n1, d1), (n2, d2) = a, b
+            if not n2:
+                raise ZeroDivisionError("division by zero")
+            if not n1:
+                return (0, 1)
+            return (mul(n1, d2), mul(d1, n2))
+
+        def canonical(a):
+            return a if a[1] == 1 else reduce(*a)
+
+        return plus, minus, times, over, canonical
+
+    def _sums_to(self, terms, target):
+        """Whether sum(a * X**2) over ``terms`` is ``target``, never reducing.
+
+        ``terms`` pairs a coefficient's payload with the four entry
+        payloads of its X, and ``target`` holds four payloads.  Each
+        a*X**2 is (a*t)*X - (a*det X)*I with t = tr X (Cayley-Hamilton),
+        added entry by entry with the unreduced ``_payload_ops``, so no
+        gcd is taken.  A sum S/D matches the target's n/d when S*d == n*D.
+        """
+        plus, minus, times, *_ = self._payload_ops()
         sums = [(0, 1)] * 4
         for a, (x11, x12, x21, x22) in terms:
             if not a[0] or not (x11[0] or x12[0] or x21[0] or x22[0]):
@@ -497,6 +534,7 @@ class _Fractions(Field):
             term = (minus(times(t, x11), det), times(t, x12), times(t, x21),
                     minus(times(t, x22), det))
             sums = [plus(s, x) for s, x in zip(sums, term)]
+        mul = self._ring_mul
         return all(mul(s, d) == mul(n, den) for (s, den), (n, d) in zip(sums, target))
 
     def _is_zero(self, a):
@@ -517,12 +555,17 @@ class Rationals(_Fractions):
     """
 
     _RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
-    _gcd = math.gcd
     _quo = operator.floordiv
     _ring_mul, _ring_add, _ring_sub = operator.mul, operator.add, operator.sub
 
     def __repr__(self):
         return "Q"
+
+    @staticmethod
+    def _gcd(n: int, d: int) -> int:
+        """gcd(n, d) with the sign of d, so that ``_reduce`` leaves d > 0."""
+        g = math.gcd(n, d)
+        return g if d > 0 else -g
 
     @staticmethod
     def _root(n: int) -> int | None:

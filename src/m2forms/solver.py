@@ -15,6 +15,13 @@ a missing root) and for targets that differ from scalar only off the
 diagonal.  Over a non-perfect field another required root may not exist,
 and the solver raises NotASquareError naming the element that has none.
 
+Both constructions run on payloads.  The odd one takes the field's
+``_payload_ops``: a finite field's own hooks, whose payloads are
+canonical already, or Q's fraction pairs that are never put in lowest
+terms, so that each answer entry is reduced once, when it is made.  The
+characteristic-2 one takes the field's own hooks, which keep F2(X) in
+lowest terms at every step.
+
 Every answer is a Decomposition, which checks itself when it is built
 through DiagonalForm.evaluates_to: by evaluating the form over the
 finite fields, and over Q and F2(X) by cross-multiplying, with no value
@@ -32,7 +39,7 @@ from .errors import (
     NotUniversalFormError,
     ZeroCoefficientError,
 )
-from .fields import FieldElement
+from .fields import FieldElement, _same
 from .matrices import DiagonalForm, Mat2
 
 
@@ -57,23 +64,84 @@ def _check_pair(a1: FieldElement, a2: FieldElement, target: Mat2):
     return field
 
 
-def _back_substitute(a1, a2, target: Mat2, x1, w1, t) -> tuple[Mat2, Mat2]:
+def _payloads(matrix: Mat2):
+    return (matrix.e11.payload, matrix.e12.payload, matrix.e21.payload, matrix.e22.payload)
+
+
+def _matrices(field, pair) -> tuple[Mat2, Mat2]:
+    """The answer's two matrices, from two quadruples of canonical payloads."""
+    return tuple(Mat2(*[FieldElement(field, e) for e in X]) for X in pair)
+
+
+def _back_substitute(field, ops, a1, a2, target, x1, w1, t):
     """X1 = [[x1,y1],[z1,w1]] and X2 = [[0,y2],[1,0]] for given x1 and w1.
 
-    X2**2 = y2*I, so q and r divide out over a1*(x1+w1), and y2 balances
-    s; p holds once a1*(x1**2-w1**2) = p-s.  Each caller knows x1 + w1 by
+    Runs on payloads with ``ops``, the caller's (add, sub, mul, div,
+    canonical), and makes each entry canonical once, as it is made, so
+    that y2 is built from entries already in lowest terms.  X2**2 = y2*I,
+    so q and r divide out over a1*(x1+w1), and y2 balances s; p holds
+    once a1*(x1**2-w1**2) = p-s.  Each caller knows x1 + w1 by
     construction and passes t = 1/(a1*(x1+w1)) instead of a sum, product
-    and inverse of large fractions:
+    and inverse:
 
       odd, p == s     x1 = w1 = 1, so t = 1/(2*a1);
       odd, p != s     x1 + w1 = ((gap+a1) + (a1-gap))/(2*a1) = 1, so t = 1/a1;
       char 2, p != s  w1 = 0 and x1 = sqrt((p+s)/a1) is nonzero, so t = 1/(a1*x1).
     """
-    _, q, r, s = target.entries()
-    y1, z1 = q * t, r * t
-    y2 = (s - a1 * (y1 * z1 + w1 * w1)) / a2
-    zero = target.field.zero()
-    return Mat2(x1, y1, z1, w1), Mat2(zero, y2, target.field.one(), zero)
+    add, sub, mul, div, canonical = ops
+    _, q, r, s = target
+    x1, w1 = canonical(x1), canonical(w1)
+    y1, z1 = canonical(mul(q, t)), canonical(mul(r, t))
+    y2 = canonical(div(sub(s, mul(a1, add(mul(y1, z1), mul(w1, w1)))), a2))
+    zero = field._from_int(0)
+    return (x1, y1, z1, w1), (zero, y2, field._from_int(1), zero)
+
+
+def _odd_char(field, ops, a1, a2, target):
+    """decompose_pair_odd_char on payloads, with the field's ``_payload_ops``."""
+    add, sub, mul, div, _ = ops
+    p, _, _, s = target
+    one = field._from_int(1)
+    half = div(one, add(a1, a1))
+    if p == s:
+        return _back_substitute(field, ops, a1, a2, target, one, one, half)
+    gap = sub(p, s)
+    x1, w1 = mul(add(gap, a1), half), mul(sub(a1, gap), half)
+    return _back_substitute(field, ops, a1, a2, target, x1, w1, div(one, a1))
+
+
+def _char2(field, a1, a2, target):
+    """decompose_pair_char2 on payloads, with the field's own hooks.
+
+    Each step is canonical already, F2(X)'s included: its gf2x kernels
+    cost grows with degree, and unreduced pairs made this construction
+    slower there, not faster.
+    """
+    add, mul, div, sqrt, is_zero = field._add, field._mul, field._div, field._sqrt, field._is_zero
+    p, q, r, s = target
+    zero, one = field._from_int(0), field._from_int(1)
+    if p != s:
+        x1 = sqrt(div(add(p, s), a1))
+        ops = (add, field._sub, mul, div, _same)
+        return _back_substitute(field, ops, a1, a2, target, x1, zero, div(one, mul(a1, x1)))
+    zeros = (zero,) * 4
+    if is_zero(q) and is_zero(r):
+        c = div(p, a1)
+        try:
+            root = sqrt(c)
+        except NotASquareError:
+            return (zero, one, c, zero), zeros
+        return (root, zero, zero, root), zeros
+    if not is_zero(q):
+        x1 = sqrt(div(a2, a1))
+        balance, q_inv = add(p, a2), div(one, q)
+        y1 = div(q, mul(a1, x1))
+        z1 = mul(mul(balance, x1), q_inv)
+        z2 = add(div(r, a2), mul(balance, q_inv))
+        return (x1, y1, z1, zero), (zero, zero, z2, one)
+    # p == s, q == 0, r != 0: mirror the q != 0 branch through the transpose
+    pair = _char2(field, a1, a2, (p, r, q, s))
+    return tuple((e11, e21, e12, e22) for e11, e12, e21, e22 in pair)
 
 
 def decompose_pair_odd_char(
@@ -89,13 +157,8 @@ def decompose_pair_odd_char(
     field = _check_pair(a1, a2, target)
     if field.characteristic == 2:
         raise CharacteristicError("this construction requires characteristic != 2")
-    p, s = target.e11, target.e22
-    half = (2 * a1).inv()
-    if p == s:
-        one = field.one()
-        return _back_substitute(a1, a2, target, one, one, half)
-    gap = p - s
-    return _back_substitute(a1, a2, target, (gap + a1) * half, (a1 - gap) * half, a1.inv())
+    pair = _odd_char(field, field._payload_ops(), a1.payload, a2.payload, _payloads(target))
+    return _matrices(field, pair)
 
 
 def decompose_pair_char2(
@@ -114,33 +177,13 @@ def decompose_pair_char2(
       p == s, r != 0  the previous branch on the transpose, transposed.
 
     Total over perfect fields.  Elsewhere the square roots may not
-    exist, and NotASquareError carries the element with no root.
+    exist, and NotASquareError carries the element with no root, in
+    lowest terms.
     """
     field = _check_pair(a1, a2, target)
     if field.characteristic != 2:
         raise CharacteristicError("this construction requires characteristic 2")
-    p, q, r, s = target.entries()
-    zero, one = field.zero(), field.one()
-    if p != s:
-        x1 = ((p + s) / a1).sqrt()
-        return _back_substitute(a1, a2, target, x1, zero, (a1 * x1).inv())
-    if q.is_zero() and r.is_zero():
-        c = p / a1
-        try:
-            root = c.sqrt()
-        except NotASquareError:
-            return Mat2(zero, one, c, zero), Mat2.zero(field)
-        return Mat2(root, zero, zero, root), Mat2.zero(field)
-    if not q.is_zero():
-        x1 = (a2 / a1).sqrt()
-        balance, q_inv = p + a2, q.inv()
-        y1 = q / (a1 * x1)
-        z1 = balance * x1 * q_inv
-        z2 = r / a2 + balance * q_inv
-        return Mat2(x1, y1, z1, zero), Mat2(zero, zero, z2, one)
-    # p == s, q == 0, r != 0: mirror the q != 0 branch through the transpose
-    X1, X2 = decompose_pair_char2(a1, a2, target.transpose())
-    return X1.transpose(), X2.transpose()
+    return _matrices(field, _char2(field, a1.payload, a2.payload, _payloads(target)))
 
 
 def decompose(form: DiagonalForm, target: Mat2) -> Decomposition:

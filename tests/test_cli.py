@@ -154,6 +154,18 @@ class TestVerify:
         assert "check: FAIL" in out
         assert "value:" in out
 
+    def test_value_too_large_to_print(self, capsys):
+        # the value's 5,000-digit entry is past Python's int-to-str limit; the check still fails
+        big = "9" * 2500
+        argv = ["verify", "--field", "Q", "--coeffs", "1", "--target", "[[0,0],[0,0]]",
+                "--matrices", f"[[{big},0],[0,0]]"]
+        assert run(capsys, *argv) == (2, "check: FAIL\nvalue: too large to print\n", "")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (2, "")
+        payload = json.loads(out)
+        assert (payload["value"], payload["verified"]) == (None, False)
+        assert payload["matrices"] == [f"[[{big},0],[0,0]]"]
+
     def test_arity_mismatch_is_a_bad_request(self, capsys):
         code, _, err = run(
             capsys, "verify", "--field", "Q", "--coeffs", "2,1",

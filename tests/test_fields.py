@@ -384,6 +384,70 @@ class TestRationalFunctionField:
             list(Q.elements())
 
 
+class TestUnreducedOps:
+    """The fraction fields' ``_payload_ops``: pairs never put in lowest terms."""
+
+    def test_zero_operands_short_cut(self):
+        for field in (Q, F2X):
+            plus, minus, times, over, _ = field._payload_ops()
+            a, zero = (3, 6), (0, 7)  # neither is in lowest terms
+            assert plus(zero, a) is a and plus(a, zero) is a
+            assert minus(a, zero) is a
+            assert times(zero, a) == times(a, zero) == (0, 1)
+            assert over(zero, a) == (0, 1)
+
+    def test_sums_and_products_stay_unreduced(self):
+        plus, minus, times, over, _ = Q._payload_ops()
+        assert plus((3, 6), (5, 6)) == (8, 6)  # equal denominators: no cross-multiply
+        assert plus((1, 2), (1, 3)) == (5, 6)
+        assert minus((1, 2), (1, 2)) == (0, 2)
+        assert times((2, 4), (3, 9)) == (6, 36)
+        assert over((1, 2), (-3, 4)) == (4, -6)  # a quotient may carry the sign below
+        plus, minus, times, over, _ = F2X._payload_ops()
+        assert plus((0b11, 0b101), (0b1, 0b101)) == (0b10, 0b101)  # xor over one denominator
+        assert minus((0b1, 0b10), (0b1, 0b11)) == (0b1, 0b110)  # x+1 + x over x*(x+1)
+        assert times((0b10, 0b11), (0b11, 0b10)) == (0b110, 0b110)
+        assert over((0b10, 0b11), (0b11, 0b10)) == (0b100, 0b101)
+
+    @pytest.mark.parametrize("field", [Q, F2X], ids=str)
+    def test_division_by_zero(self, field):
+        over = field._payload_ops()[3]
+        for dividend in ((5, 3), (0, 3)):
+            with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+                over(dividend, (0, 9))
+
+    def test_canonical_is_the_reduced_pair(self):
+        canonical = Q._payload_ops()[4]
+        assert canonical((4, -6)) == (-2, 3)  # the sign moves to the numerator
+        assert canonical((-4, -6)) == (2, 3)
+        assert canonical((0, -2)) == (0, 1)
+        assert canonical((6, 1)) == (6, 1)
+        canonical = F2X._payload_ops()[4]
+        assert canonical((0b110, 0b1110)) == (0b11, 0b111)  # x*(x+1) over x*(x^2+x+1)
+        assert canonical((0, 0b101)) == (0, 1)
+
+    @pytest.mark.parametrize("field", [Q, F2X], ids=str)
+    def test_agree_with_the_reduced_hooks(self, field):
+        # on pairs in non-lowest terms, with negative Q denominators
+        rng = random.Random(11)
+        plus, minus, times, over, canonical = field._payload_ops()
+        hooks = (field._add, field._sub, field._mul, field._div)
+
+        def draw():
+            x = rand(field, rng).payload
+            k = rng.choice((1, 3, -2, 12)) if field is Q else rng.choice((1, 0b11, 0b110))
+            mul = field._ring_mul
+            return (mul(x[0], k), mul(x[1], k))
+
+        for _ in range(300):
+            a, b = draw(), draw()
+            ra, rb = canonical(a), canonical(b)
+            for op, hook in zip((plus, minus, times, over), hooks):
+                if op is over and not b[0]:
+                    continue
+                assert canonical(op(a, b)) == hook(ra, rb)
+
+
 class TestFieldFromString:
     @pytest.mark.parametrize(
         "text",

@@ -313,3 +313,153 @@ class TestDecomposition:
             Decomposition(form, target, (Mat2.identity(field),))
         with pytest.raises(FieldMismatchError):
             Decomposition(form, target, (Mat2.identity(field), Mat2.zero(GF3)))
+
+
+# The element-level constructions the payload ones replaced, kept here as
+# the reference: every intermediate is a FieldElement in lowest terms.
+def element_back_substitute(a1, a2, target, x1, w1, t):
+    _, q, r, s = target.entries()
+    y1, z1 = q * t, r * t
+    y2 = (s - a1 * (y1 * z1 + w1 * w1)) / a2
+    zero = target.field.zero()
+    return Mat2(x1, y1, z1, w1), Mat2(zero, y2, target.field.one(), zero)
+
+
+def element_odd_char(a1, a2, target):
+    p, s = target.e11, target.e22
+    half = (2 * a1).inv()
+    if p == s:
+        one = target.field.one()
+        return element_back_substitute(a1, a2, target, one, one, half)
+    gap = p - s
+    return element_back_substitute(a1, a2, target, (gap + a1) * half, (a1 - gap) * half, a1.inv())
+
+
+def element_char2(a1, a2, target):
+    field = target.field
+    p, q, r, s = target.entries()
+    zero, one = field.zero(), field.one()
+    if p != s:
+        x1 = ((p + s) / a1).sqrt()
+        return element_back_substitute(a1, a2, target, x1, zero, (a1 * x1).inv())
+    if q.is_zero() and r.is_zero():
+        c = p / a1
+        try:
+            root = c.sqrt()
+        except NotASquareError:
+            return Mat2(zero, one, c, zero), Mat2.zero(field)
+        return Mat2(root, zero, zero, root), Mat2.zero(field)
+    if not q.is_zero():
+        x1 = (a2 / a1).sqrt()
+        balance, q_inv = p + a2, q.inv()
+        z2 = r / a2 + balance * q_inv
+        return Mat2(x1, q / (a1 * x1), balance * x1 * q_inv, zero), Mat2(zero, zero, z2, one)
+    x1, x2 = element_char2(a1, a2, target.transpose())
+    return x1.transpose(), x2.transpose()
+
+
+def _q_entry(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Q(0)
+    if kind == 1:
+        return Q(rng.randint(-9, 9))
+    big = rng.randint(10**39, 10**40) * rng.choice((1, -1))
+    return Q.parse(f"{big}/{rng.randint(1, 10**40)}")
+
+
+def _f2x_entry(rng):
+    num, den = rng.randrange(512), rng.randrange(1, 512)  # degree < 9 over degree < 9
+    return F2X.parse(f"({_poly(num)})/({_poly(den)})")
+
+
+def _poly(bits):  # bits < 512
+    terms = ["1", "x", *(f"x^{e}" for e in range(2, 9))]
+    return "+".join(t for e, t in enumerate(terms) if bits >> e & 1) or "0"
+
+
+def _nonzero(draw, rng):
+    while (x := draw(rng)).is_zero():
+        pass
+    return x
+
+
+class TestSameAnswersAsElementFormulas:
+    """decompose answers equal the element formulas', entries in lowest terms."""
+
+    def check(self, a1, a2, target, reference):
+        form = DiagonalForm(target.field, [0, a1, a2])
+        try:
+            want = reference(a1, a2, target)
+        except NotASquareError as exc:
+            with pytest.raises(NotASquareError) as err:
+                decompose(form, target)
+            assert err.value.element == exc.element
+            assert err.value.element.payload == exc.element.payload
+            return "no root"
+        got = decompose(form, target).matrices
+        assert got == (Mat2.zero(target.field), *want)
+        field = target.field
+        for entry in (e for x in got for e in x.entries()):
+            if field in (Q, F2X):
+                assert field._reduce(*entry.payload) == entry.payload
+            if field is Q:
+                assert entry.payload[1] > 0
+        return "solved"
+
+    def test_rationals(self):
+        rng = random.Random(32)
+        seen = set()
+        for i in range(300):
+            a1, a2 = _nonzero(_q_entry, rng), _nonzero(_q_entry, rng)
+            p, q, r, s = (_q_entry(rng) for _ in range(4))
+            if i % 3 == 0:
+                s = p
+            target = Mat2(p, q, r, s)
+            self.check(a1, a2, target, element_odd_char)
+            seen.add((p == s, any(e.payload[0] < 0 for e in target.entries())))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_rational_functions_every_branch(self):
+        rng = random.Random(33)
+        x = F2X.parse("x")
+        seen = set()
+        for i in range(400):
+            a1, a2 = _nonzero(_f2x_entry, rng), _nonzero(_f2x_entry, rng)
+            p, q, r, s = (_f2x_entry(rng) for _ in range(4))
+            square = a1 * _nonzero(_f2x_entry, rng) ** 2  # has a root over a1
+            shape = i % 8
+            if shape < 2:  # p != s: with a root of (p+s)/a1, then usually without one
+                s = p + (square if shape == 0 else _nonzero(_f2x_entry, rng))
+            elif shape < 4:  # scalar: with a root of p/a1, then without one
+                p = s = square * (x if shape == 3 else 1)
+                q = r = F2X(0)
+            elif shape < 6:  # p == s, q != 0: with a root of a2/a1, then usually without
+                s, q = p, _nonzero(_f2x_entry, rng)
+                a2 = square if shape == 4 else a2
+            else:  # the transposed branch: p == s, q == 0, r != 0
+                s, q, r = p, F2X(0), _nonzero(_f2x_entry, rng)
+                a2 = square if shape == 6 else a2
+            seen.add((shape, self.check(a1, a2, Mat2(p, q, r, s), element_char2)))
+        assert {(k, "solved") for k in (0, 2, 3, 4, 6)} | {(k, "no root") for k in (1, 5, 7)} <= seen
+
+    @pytest.mark.parametrize(
+        "field",
+        [GF3, GF5, PrimeField(2**61 - 1), GF9, ExtensionField(3, 3), GF2, GF4, GF8,
+         ExtensionField(2, 4)],
+        ids=str,
+    )
+    def test_finite_fields(self, field):
+        rng = random.Random(34)
+        reference = element_char2 if field.characteristic == 2 else element_odd_char
+        zero = field.zero()
+        for i in range(200):
+            a1, a2 = (_nonzero(field.random_element, rng) for _ in range(2))
+            p, q, r, s = (field.random_element(rng) for _ in range(4))
+            if i % 4 == 1:
+                s = p
+            elif i % 4 == 2:
+                s, q = p, zero
+            elif i % 4 == 3:
+                s, q, r = p, zero, zero
+            assert self.check(a1, a2, Mat2(p, q, r, s), reference) == "solved"
