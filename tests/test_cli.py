@@ -154,17 +154,34 @@ class TestVerify:
         assert "check: FAIL" in out
         assert "value:" in out
 
-    def test_value_too_large_to_print(self, capsys):
-        # the value's 5,000-digit entry is past Python's int-to-str limit; the check still fails
-        big = "9" * 2500
-        argv = ["verify", "--field", "Q", "--coeffs", "1", "--target", "[[0,0],[0,0]]",
-                "--matrices", f"[[{big},0],[0,0]]"]
+    # past what the readers take back: Q's 5,000-digit entry passes Python's int-to-str
+    # limit, F2(X)'s x^8192 the exponent bound 4,096; the check still fails
+    TOO_LARGE = [("Q", f"[[{'9' * 2500},0],[0,0]]"), ("F2(X)", "[[x^4096,0],[0,0]]")]
+
+    @pytest.mark.parametrize("field, matrix", TOO_LARGE, ids=["Q", "F2X"])
+    def test_value_too_large_to_print(self, capsys, field, matrix):
+        argv = ["verify", "--field", field, "--coeffs", "1", "--target", "[[0,0],[0,0]]",
+                "--matrices", matrix]
         assert run(capsys, *argv) == (2, "check: FAIL\nvalue: too large to print\n", "")
         code, out, err = run(capsys, *argv, "--json")
         assert (code, err) == (2, "")
         payload = json.loads(out)
         assert (payload["value"], payload["verified"]) == (None, False)
-        assert payload["matrices"] == [f"[[{big},0],[0,0]]"]
+        assert payload["matrices"] == [matrix]
+
+    def test_large_prime_answer_verifies_as_printed(self, capsys):
+        # the odd construction divides by 2*a1, a1 and a2 through PrimeField._inv
+        argv = ["--field", "GF(2305843009213693951)", "--coeffs", "3,-5",
+                "--target", "[[12345678901234567,2],[-1,987654321]]"]
+        code, out, _ = run(capsys, "decompose", *argv)
+        assert (code, out.splitlines()[-1]) == (0, "check: OK")
+        printed = [line.split(" = ")[1] for line in out.splitlines()[:-1]]
+        assert run(capsys, "verify", *argv, "--matrices", *printed) == (0, "check: OK\n", "")
+        code, out, _ = run(capsys, "decompose", *argv, "--json")
+        assert (code, json.loads(out)["matrices"]) == (0, printed)
+        code, out, err = run(capsys, "verify", *argv, "--matrices", *printed, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verified"] is True
 
     def test_arity_mismatch_is_a_bad_request(self, capsys):
         code, _, err = run(

@@ -111,8 +111,31 @@ class TestRationals:
 
 
 class TestPrimeField:
+    # 2**64 - 59 is the largest prime below the family's bound 2**64
+    INVERSE_PRIMES = [2, 3, 7, 97, 2**31 - 1, 2**61 - 1, 2**64 - 59]
+
     def test_inverse_axiom(self):
         assert GF7(3) * GF7(3).inv() == GF7(1)
+
+    @pytest.mark.parametrize("p", INVERSE_PRIMES)
+    def test_inverse_matches_fermat(self, p):
+        field = PrimeField(p)
+        rng = random.Random(p)
+        payloads = {1, p - 1} | {rng.randrange(1, p) for _ in range(200)}
+        for a in sorted(payloads):
+            assert field._inv(a) == pow(a, p - 2, p)  # the reference: a^(p-2) = a^-1
+            x = field(a)
+            assert x * x.inv() == 1
+
+    @pytest.mark.parametrize("p", INVERSE_PRIMES)
+    def test_zero_has_no_inverse(self, p):
+        field = PrimeField(p)
+        with pytest.raises(ZeroDivisionError):
+            field(0).inv()
+        with pytest.raises(ZeroDivisionError):
+            field(1) / field(0)
+        with pytest.raises(ZeroDivisionError):
+            field._div(1, 0)
 
     def test_reduction(self):
         assert GF5.parse("7") == GF5(2)
