@@ -22,17 +22,17 @@ and ``is_square``.  The first three families are perfect; the rational
 function field is not, and its missing square roots are what the
 characteristic-2 solver reports via NotASquareError.
 
-Each family writes its own payload hooks.  ``Field`` supplies the shared
-ones once: ``_sub`` is ``a + (-b)``, ``_div`` and ``FieldElement.inv``
-refuse zero (so no ``_inv`` checks), ``_pow`` is square-and-multiply
-unless a family binds its own (table fields use logs), ``_is_zero`` is
-``not a``, ``_render`` is ``str(a)``, and for the finite families
-``elements``, ``random_element`` and ``sqrt`` run over
+The finite families write their own payload hooks; ``_Fractions`` writes
+Q's and F2(X)'s once, on the operators of each ring.  ``Field`` supplies
+the shared ones once: ``_sub`` is ``a + (-b)``, ``_div`` and
+``FieldElement.inv`` refuse zero (so no ``_inv`` checks), ``_pow`` is
+square-and-multiply unless a family binds its own (table fields use
+logs), ``_is_zero`` is ``not a``, ``_render`` is ``str(a)``, and for the
+finite families ``elements``, ``random_element`` and ``sqrt`` run over
 ``_payload_from_index``, which numbers the payloads 0..q-1 in canonical
-order.  ``_Fractions`` serves Q and F2(X).  ``PrimeField`` binds
-``pow`` for both of its own: ``pow(a, e, p)`` for ``_pow`` and
-``pow(a, -1, p)``, extended Euclid, for ``_inv``; ``polys`` inverts the
-same way.
+order.  ``PrimeField`` binds ``pow`` for both of its own: ``pow(a, e,
+p)`` for ``_pow`` and ``pow(a, -1, p)``, extended Euclid, for ``_inv``;
+``polys`` inverts the same way.
 
 Descriptors are interned by class and normalized key, so every spelling
 of a field is one object and field equality is identity.
@@ -456,24 +456,51 @@ class Field:
 class _Fractions(Field):
     """A fraction field: payloads are pairs (n, d) in lowest terms.
 
-    The ring binds ``_gcd``, an exact quotient ``_quo`` and ``_root``, a
-    square root or None.  No gcd of full products is taken: ``_add``
-    cancels only against gcd(d1, d2) (Knuth 4.5.1), and ``_mul``, hence
-    ``_div`` and ``_pow``, cross-cancels gcd(n1, d2) and gcd(n2, d1)
-    first (Henrici); both stay per ring, on the ring's own operators.
+    The ring binds ``_gcd``, an exact quotient ``_quo``, ``_root`` (a
+    square root or None) and its operators ``_ring_mul``, ``_ring_add``
+    and ``_ring_sub``; the fraction arithmetic is written once on them.
+    No gcd of full products is taken: ``_add`` cancels only against
+    gcd(d1, d2) (Knuth 4.5.1), and ``_mul``, hence ``_div`` and
+    ``_pow``, cross-cancels gcd(n1, d2) and gcd(n2, d1) first (Henrici).
     Either returns without a gcd for a zero operand: a sum is the other
     operand's payload and a product the canonical zero (0, 1).
 
-    ``_payload_ops`` defines the unreduced operations once, on the ring's
-    own ``_ring_mul``, ``_ring_add`` and ``_ring_sub``: fraction pairs
-    never put in lowest terms, with ``_reduce`` as the canonical step.
-    The odd-characteristic construction, hence Q's, reduces each answer
-    entry once with them, and ``_sums_to`` never reduces.
+    ``_payload_ops`` defines the unreduced operations on the same ring
+    operators: fraction pairs never put in lowest terms, with
+    ``_reduce`` as the canonical step.  The odd-characteristic
+    construction, hence Q's, reduces each answer entry once with them,
+    and ``_sums_to`` never reduces.
     """
 
     def _reduce(self, num, den):
         g = self._gcd(num, den)
         return (self._quo(num, g), self._quo(den, g))
+
+    def _add(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        if not n1:
+            return b
+        if not n2:
+            return a
+        gcd, quo, mul, add = self._gcd, self._quo, self._ring_mul, self._ring_add
+        g = gcd(d1, d2)
+        if g == 1:
+            return (add(mul(n1, d2), mul(n2, d1)), mul(d1, d2))
+        s = quo(d1, g)
+        t = add(mul(n1, quo(d2, g)), mul(n2, s))
+        g = gcd(t, g)  # the sum is t / (s * d2), and only gcd(t, g) cancels
+        return (quo(t, g), mul(s, quo(d2, g)))
+
+    def _mul(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        if not n1 or not n2:
+            return (0, 1)
+        gcd, quo, mul = self._gcd, self._quo, self._ring_mul
+        g1, g2 = gcd(n1, d2), gcd(n2, d1)
+        return (mul(quo(n1, g1), quo(n2, g2)), mul(quo(d1, g2), quo(d2, g1)))
+
+    def _neg(self, a):
+        return (self._ring_sub(0, a[0]), a[1])
 
     def _payload_ops(self):
         """``(plus, minus, times, over, canonical)`` on unreduced pairs.
@@ -583,30 +610,6 @@ class Rationals(_Fractions):
         if isinstance(value, Fraction):
             return (value.numerator, value.denominator)
         return super()._from_other(value)
-
-    def _add(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        if not n1:
-            return b
-        if not n2:
-            return a
-        g = math.gcd(d1, d2)
-        if g == 1:
-            return (n1 * d2 + n2 * d1, d1 * d2)
-        s = d1 // g
-        t = n1 * (d2 // g) + n2 * s
-        g = math.gcd(t, g)
-        return (t // g, s * (d2 // g))
-
-    def _mul(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        if not n1 or not n2:
-            return (0, 1)
-        g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
-        return (n1 // g1 * (n2 // g2), d1 // g2 * (d2 // g1))
-
-    def _neg(self, a):
-        return (-a[0], a[1])
 
     def _inv(self, a):
         n, d = a

@@ -99,37 +99,6 @@ class RationalFunctionField2(_Fractions):
     def _from_int(self, n):
         return (n % 2, 1)
 
-    def _add(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        if not n1:
-            return b
-        if not n2:
-            return a
-        g = gcd(d1, d2)
-        if g == 1:
-            return (mul(n1, d2) ^ mul(n2, d1), mul(d1, d2))
-        s = _quo(d1, g)
-        t = mul(n1, _quo(d2, g)) ^ mul(n2, s)
-        g = gcd(t, g)
-        return (_quo(t, g), mul(s, _quo(d2, g)))
-
-    _sub = _add  # characteristic 2
-
-    def _mul(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        if not n1 or not n2:
-            return (0, 1)
-        g = gcd(n1, d2)
-        if g != 1:
-            n1, d2 = divmod_(n1, g)[0], divmod_(d2, g)[0]
-        g = gcd(n2, d1)
-        if g != 1:
-            n2, d1 = divmod_(n2, g)[0], divmod_(d1, g)[0]
-        return (mul(n1, n2), mul(d1, d2))
-
-    def _neg(self, a):
-        return a
-
     def _inv(self, a):
         return (a[1], a[0])
 

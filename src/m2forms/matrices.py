@@ -150,6 +150,11 @@ class Mat2:
         return cls(*map(field.parse, _split_matrix("".join(str(text).split()))))
 
 
+def _payloads(matrix: Mat2) -> tuple:
+    """The payloads of (e11, e12, e21, e22)."""
+    return (matrix.e11.payload, matrix.e12.payload, matrix.e21.payload, matrix.e22.payload)
+
+
 def _split_matrix(s: str):
     """Split ``[[a,b],[c,d]]`` at the ',' and ']' outside parentheses."""
     if not s.startswith("[["):

@@ -27,7 +27,7 @@ import itertools
 
 from .errors import FieldTooLargeError, InfiniteFieldError
 from .fields import Field, FieldElement
-from .matrices import Mat2
+from .matrices import Mat2, _payloads
 
 MAX_ORDER = 16  # bound for every enumeration
 
@@ -46,10 +46,6 @@ def all_matrices(field: Field):
     elems = list(field.elements())
     for entries in itertools.product(elems, repeat=4):
         yield Mat2(*entries)
-
-
-def _payloads(matrix: Mat2) -> tuple:
-    return (matrix.e11.payload, matrix.e12.payload, matrix.e21.payload, matrix.e22.payload)
 
 
 class SquareSet:

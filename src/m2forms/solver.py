@@ -40,7 +40,7 @@ from .errors import (
     ZeroCoefficientError,
 )
 from .fields import FieldElement, _same
-from .matrices import DiagonalForm, Mat2
+from .matrices import DiagonalForm, Mat2, _payloads
 
 
 class Decomposition(namedtuple("Decomposition", "form target matrices")):
@@ -62,10 +62,6 @@ def _check_pair(a1: FieldElement, a2: FieldElement, target: Mat2):
     if a1.is_zero() or a2.is_zero():
         raise ZeroCoefficientError("both coefficients must be nonzero")
     return field
-
-
-def _payloads(matrix: Mat2):
-    return (matrix.e11.payload, matrix.e12.payload, matrix.e21.payload, matrix.e22.payload)
 
 
 def _matrices(field, pair) -> tuple[Mat2, Mat2]:

@@ -469,6 +469,7 @@ class TestUnreducedOps:
                 if op is over and not b[0]:
                     continue
                 assert canonical(op(a, b)) == hook(ra, rb)
+            assert field._neg(ra) == canonical(minus((0, 1), a))
 
 
 class TestFieldFromString:
