@@ -4,10 +4,21 @@ The polynomial b_n x^n + ... + b_1 x + b_0 is stored as the integer with
 bit i equal to b_i, so addition is xor and the zero polynomial is 0.
 The kernel functions take and return plain ints.
 
-``mul`` returns at once for a factor 0 or 1, and otherwise adds one
-shifted copy of the larger operand per set bit of the smaller.  ``gcd``
-is Euclid's algorithm with the remainder taken inline.  ``sqrt`` reads
-the even-exponent digits off the base-2 text by slicing, which no
+``mul`` returns at once for a factor 0 or 1.  Below ``K`` set bits in the
+smaller factor it adds one shifted copy of the larger per set bit.  From
+``K`` to 255 set bits it writes both factors one binary digit per byte
+and multiplies them once as integers: byte k of that product counts the
+pairs i + j = k with both digits set, at most the smaller factor's
+popcount, so no carry crosses a byte and the byte's parity is the
+coefficient of x^k.  At 256 set bits or more it keeps the loop, which is
+exact at every size.  ``K = 16`` is measured: on the 6,000 products of
+one decompose-bignum pass over its F2(X) inputs (seed 1, Python 3.11.7,
+x86-64) the two paths cost the same at 12-15 set bits, and the products
+took 25.7 ms on the loop alone, 14.2 ms with K = 16 and 14.2-15.4 ms
+with any K from 8 to 24 (best of 25 interleaved rounds).
+
+``gcd`` is Euclid's algorithm with the remainder taken inline.  ``sqrt``
+reads the even-exponent digits off the base-2 text by slicing, which no
 int/str digit limit covers.
 
 ``RationalFunctionField2`` sits here beside its kernel, so that only the
@@ -20,13 +31,32 @@ import operator
 from .errors import ParseError
 from .fields import FieldElement, _Fractions, _parse_poly_text, _render_poly, _scan_marks
 
+K = 16  # fewest set bits in the smaller factor for one integer product (see above)
+DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # base-2 text -> one 0/1 byte per digit
+PARITY_DIGITS = bytes.maketrans(bytes(range(256)), b"01" * 128)  # byte -> its parity digit
+
+
+def _slots(a: int) -> int:
+    """a with binary digit i moved to byte i: base 256 read as base 2."""
+    return int.from_bytes(f"{a:b}".encode().translate(DIGIT_BYTES), "big")
+
 
 def mul(a, b):
-    """Product of packed polynomials a and b."""
+    """Product of packed polynomials a and b.
+
+    Let b be the smaller factor.  With ``K`` to 255 set bits in b, the
+    product is one int multiply of the byte-slot forms, read back one
+    parity per byte: no byte of it counts 256 terms, so none carries.
+    Otherwise it is the shift-xor loop.  Base-2 text is exempt from the
+    int/str digit limit, so no operand size is refused.
+    """
     if a < b:
         a, b = b, a
     if b < 2:
         return a if b else 0
+    if K <= b.bit_count() < 256:
+        product = (_slots(a) * _slots(b)).to_bytes(a.bit_length() + b.bit_length() - 1, "big")
+        return int(product.translate(PARITY_DIGITS), 2)
     c = 0
     while b:
         low = b & -b  # lowest set bit x^i; a * low is a shifted by i

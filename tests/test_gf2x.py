@@ -3,8 +3,10 @@
 Each kernel routine is checked against a plain reference written here:
 schoolbook multiplication, Euclid's gcd, and, for the field, reducing the
 textbook sum and product by one gcd of the full numerator and denominator.
-The gcd is also checked against sympy's ``gf_gcd`` over GF(2), where
-sympy is installed.
+The product and gcd are also checked against sympy's ``gf_mul`` and
+``gf_gcd`` over GF(2), where sympy is installed, and whole F2(X)
+decompositions are checked against the same ones made on the schoolbook
+product.
 """
 
 import random
@@ -12,7 +14,15 @@ import sys
 
 import pytest
 
-from m2forms import FieldElement, RationalFunctionField2, gf2x
+from m2forms import (
+    DiagonalForm,
+    FieldElement,
+    Mat2,
+    NotASquareError,
+    RationalFunctionField2,
+    decompose,
+    gf2x,
+)
 
 F2X = RationalFunctionField2()
 
@@ -49,6 +59,22 @@ def poly(rng, degree):
     return (1 << degree) | rng.getrandbits(degree)
 
 
+def with_popcount(rng, bits, count):
+    """A random polynomial of degree bits - 1 with exactly ``count`` set bits."""
+    return sum((1 << i for i in rng.sample(range(bits - 1), count - 1)), 1 << (bits - 1))
+
+
+def to_sym(a):
+    """sympy's dense GF(2) list for a packed polynomial, leading coefficient first."""
+    from sympy.polys.domains import ZZ
+
+    return [ZZ((a >> i) & 1) for i in reversed(range(a.bit_length()))]
+
+
+def from_sym(coeffs):
+    return int("".join(str(int(c)) for c in coeffs) or "0", 2)
+
+
 def fraction(rng, max_degree, factor=1):
     """A reduced payload whose denominator is a multiple of ``factor``."""
     num = poly(rng, rng.randrange(-1, max_degree + 1))
@@ -63,6 +89,56 @@ class TestKernel:
             a = poly(rng, rng.randrange(-1, 200))
             b = poly(rng, rng.randrange(-1, 200))
             assert gf2x.mul(a, b) == ref_mul(a, b) == gf2x.mul(b, a)
+        for _ in range(60):  # both sides of 256 set bits in the smaller factor
+            a = poly(rng, rng.randrange(200, 1200))
+            b = poly(rng, rng.randrange(200, 1200))
+            assert gf2x.mul(a, b) == ref_mul(a, b) == gf2x.mul(b, a)
+
+    @pytest.mark.parametrize("count", [gf2x.K - 1, gf2x.K, 255, 256])
+    def test_mul_at_each_edge_of_the_integer_product(self, count):
+        # below K and from 256 set bits in the smaller factor mul takes the
+        # loop; in between, one integer product whose bytes must not carry.
+        # All ones times all ones puts `count` terms into the middle bytes.
+        rng = random.Random(21 + count)
+        ones = (1 << count) - 1
+        smaller = [ones, with_popcount(rng, count + 40, count), with_popcount(rng, 1100, count)]
+        larger = [(1 << 1200) - 1, poly(rng, 1199), with_popcount(rng, 1200, 3)]
+        for b in smaller:
+            assert b.bit_count() == count
+            spread = sum(1 << 2 * i for i in range(b.bit_length()) if (b >> i) & 1)
+            assert gf2x.mul(b, b) == ref_mul(b, b) == spread
+            for a in larger:
+                assert gf2x.mul(a, b) == ref_mul(a, b) == gf2x.mul(b, a)
+
+    def test_mul_ignores_the_int_string_limit(self):
+        # base-2 text and from_bytes/to_bytes are outside the int <-> str
+        # digit limit, so neither path refuses operands past 4,300 digits
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int string-conversion limit")
+        rng = random.Random(22)
+        counts = [gf2x.K - 1, gf2x.K, 200, 255, 256, 2000]
+        pairs = [(poly(rng, 6000), with_popcount(rng, 4500, count)) for count in counts]
+        want = [ref_mul(a, b) for a, b in pairs]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValueError):
+                int("1" * 641)
+            for (a, b), product in zip(pairs, want):
+                assert gf2x.mul(a, b) == product == gf2x.mul(b, a)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_mul_matches_sympy(self):
+        pytest.importorskip("sympy")
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_mul
+
+        rng = random.Random(23)
+        for _ in range(100):
+            a = poly(rng, rng.randrange(-1, 600))
+            b = poly(rng, rng.randrange(-1, 600))
+            assert gf2x.mul(a, b) == from_sym(gf_mul(to_sym(a), to_sym(b), 2, ZZ)), (a, b)
 
     def test_mul_by_zero_and_one(self):
         rng = random.Random(17)
@@ -100,16 +176,12 @@ class TestKernel:
         from sympy.polys.domains import ZZ
         from sympy.polys.galoistools import gf_gcd
 
-        def to_sym(a):
-            return [ZZ((a >> i) & 1) for i in reversed(range(a.bit_length()))]
-
         rng = random.Random(16)
         for _ in range(300):
             common = poly(rng, rng.randrange(-1, 40))
             a = ref_mul(common, poly(rng, rng.randrange(-1, 80)))
             b = ref_mul(common, poly(rng, rng.randrange(-1, 80)))
-            want = int("".join(str(int(c)) for c in gf_gcd(to_sym(a), to_sym(b), 2, ZZ)) or "0", 2)
-            assert gf2x.gcd(a, b) == want, (a, b)
+            assert gf2x.gcd(a, b) == from_sym(gf_gcd(to_sym(a), to_sym(b), 2, ZZ)), (a, b)
 
     @staticmethod
     def per_bit_sqrt(a):
@@ -228,3 +300,43 @@ class TestReducedArithmetic:
         assert (a * a.inv()).payload == (1, 1)
         assert (a * F2X.zero()).payload == (0, 1)
 
+
+class TestDecomposeOnTheSchoolbookProduct:
+    @staticmethod
+    def outcome(form, target):
+        """The answer's entry payloads, or the element NotASquareError names."""
+        try:
+            return [[e.payload for e in X.entries()] for X in decompose(form, target).matrices]
+        except NotASquareError as exc:
+            return exc.element.payload
+
+    def test_same_answers_and_failures(self, monkeypatch):
+        # seeded forms like decompose-bignum's: degree-8 quotient entries,
+        # square coefficients (the paper's family), and every third form
+        # with arbitrary ones, which the char-2 construction often cannot solve
+        rng = random.Random(24)
+
+        def quotient(degree):
+            return FieldElement(F2X, ref_reduce(poly(rng, degree), poly(rng, degree)))
+
+        cases = []
+        for i in range(120):
+            m = 2 + i % 3
+            coeffs = [quotient(8) if i % 3 == 2 else quotient(4) ** 2 for _ in range(m)]
+            form = DiagonalForm(F2X, coeffs)
+            target = form.evaluate([Mat2(*(quotient(8) for _ in range(4))) for _ in range(m)])
+            cases.append((form, target))
+        shipped = [self.outcome(form, target) for form, target in cases]
+
+        products = []
+
+        def schoolbook(a, b):
+            products.append(min(a, b))
+            return ref_mul(a, b)
+
+        monkeypatch.setattr(RationalFunctionField2, "_ring_mul", staticmethod(schoolbook))
+        assert [self.outcome(form, target) for form, target in cases] == shipped
+        # the comparison covers both mul paths and both outcomes
+        assert any(gf2x.K <= b.bit_count() < 256 for b in products)
+        assert any(1 < b and b.bit_count() < gf2x.K for b in products)
+        assert {type(answer) for answer in shipped} == {list, tuple}
