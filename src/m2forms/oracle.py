@@ -1,18 +1,22 @@
 """Brute-force representability checks over small finite fields.
 
 Independent of the constructive solver: everything here is plain
-enumeration of all q**4 matrices.  Two-term queries precompute one
-term's image set and look up the residual, so a full sweep costs
-O(q**4) instead of O(q**8).  Enumeration is lexicographic in the entry
-order (e11, e12, e21, e22) over each field's canonical element order,
-which makes witnesses and first counterexamples deterministic.  A
-square set enumerates the entries' payloads in that order, squares them
-by lookups in q x q sum and product tables of the field's payload
-hooks, built afresh for each set, and keys its members by payload
-4-tuples; a sweep walks the targets' payload 4-tuples and subtracts
-with the field's ``_sub`` hook.  Only results (a first counterexample,
-a witness, ``first_preimage`` when read) become ``Mat2``.  The X1 scan
-of a query stays on ``Mat2`` and forms a1 * X1**2 as ``X1.square(a1)``.
+enumeration of 2 x 2 matrices.  Two-term queries precompute one term's
+image set and look up the residual, so a full sweep costs O(q**4)
+instead of O(q**8).  Enumeration is lexicographic in the entry order
+(e11, e12, e21, e22) over each field's canonical element order, which
+makes witnesses and first counterexamples deterministic.  A square set
+enumerates the entries' payloads in that order, squares them by lookups
+in q x q sum and product tables of the field's payload hooks, built
+afresh for each set, and keys its members by payload 4-tuples.  It
+skips each X whose square an earlier X already gave: X after -X, and,
+once every scalar is in, each X of trace 0, whose square is the scalar
+-det(X) * I.  A sweep tests one target per similarity class (conjugating
+a solution gives a solution), subtracting with the field's ``_sub``
+hook, and walks the targets' payload 4-tuples only to find the first of
+a missed class.  Only results (a first counterexample, a witness,
+``first_preimage`` when read) become ``Mat2``.  The X1 scan of a query
+stays on ``Mat2`` and forms a1 * X1**2 as ``X1.square(a1)``.
 
 ``first_solution`` and ``first_unrepresentable`` answer every one- and
 two-term query (CLI, single-term explanation) over fields of order at
@@ -95,6 +99,15 @@ def build_square_set(field: Field, coeff) -> SquareSet:
     only looks entries up.  A new square's payload 4-tuple stores its
     first X's; no ``Mat2`` is made.  Every query and sweep builds a set,
     so this is where the oracle checks its field.
+
+    Two rules skip an X whose square an earlier X gave, which
+    ``setdefault`` would ignore, so the members and their order are
+    those of the full enumeration.  (1) An (a, b, c) prefix is skipped
+    when its first nonzero entry e has -e earlier in element order:
+    -X has the same square and comes first (in characteristic 2,
+    -X = X and nothing is skipped).  (2) Once the first row with a = 0
+    and b != 0 has put in every scalar k*b*c*I (at d = 0), each X with
+    a + d = 0 is skipped: by Cayley-Hamilton its square is -det(X) * I.
     """
     if not field.finite:
         raise InfiniteFieldError(f"cannot enumerate matrices over {field}")
@@ -109,18 +122,24 @@ def build_square_set(field: Field, coeff) -> SquareSet:
     mul = {x: {y: field._mul(x, y) for y in payloads} for x in payloads}
     times_k = mul[coeff.payload]
     k_squares = [times_k[mul[d][d]] for d in payloads]  # k*d^2 for each d
+    zero, index = field.zero().payload, {x: i for i, x in enumerate(payloads)}
+    unsigned = [x for x in payloads if index[field._neg(x)] >= index[x]]  # rule (1): -x not earlier
+    scalars_in = False  # rule (2): every k*s*I is in, so skip X with a + d = 0
     first: dict[tuple, tuple] = {}  # payload 4-tuple of k*X^2 -> that of the first X
     setdefault = first.setdefault
-    for a, ka2 in zip(payloads, k_squares):
-        plus_a, plus_ka2 = add[a], add[ka2]
-        sums = [plus_a[d] for d in payloads]  # a+d for each d
-        for b in payloads:
-            times_kb = mul[times_k[b]]
-            for c in payloads:
+    for a in unsigned:
+        plus_a, plus_ka2 = add[a], add[times_k[mul[a][a]]]
+        every_d = [(d, kd2, plus_a[d]) for d, kd2 in zip(payloads, k_squares)]  # (d, k*d^2, a+d)
+        trace_nonzero = [row for row in every_d if row[2] != zero]
+        for b in (payloads if a != zero else unsigned):
+            times_kb, d_rows = mul[times_k[b]], trace_nonzero if scalars_in else every_d
+            for c in (payloads if a != zero or b != zero else unsigned):
                 times_kc, kbc = mul[times_k[c]], times_kb[c]
                 plus_kbc, e11 = add[kbc], plus_ka2[kbc]
-                for d, kd2, s in zip(payloads, k_squares, sums):
+                for d, kd2, s in d_rows:
                     setdefault((e11, times_kb[s], times_kc[s], plus_kbc[kd2]), (a, b, c, d))
+            if a == zero and b != zero:  # d = 0 gave every k*b*c*I
+                scalars_in = True
     return SquareSet(field, coeff, first)
 
 
@@ -155,8 +174,15 @@ def check_universal_exhaustive(a1, a2, field: Field) -> tuple[bool, Mat2 | None]
 
     Returns (True, None) when every one of the q**4 targets is a value
     of a1*X1**2 + a2*X2**2, else (False, first unrepresentable target).
-    Targets run over payload 4-tuples in ``all_matrices`` order, and
-    each residual t - v is formed with the field's ``_sub`` hook.  When
+    Conjugating a solution gives a solution, so the values are closed
+    under similarity, and two 2x2 matrices are similar exactly when they
+    are the same scalar or are both non-scalar with equal trace and
+    determinant.  So one target per class settles them all: the q
+    scalars s*I and the q**2 companions [[0,-d],[1,t]].  Each is looked
+    up against the members v of the first term's set, t - v formed with
+    the field's ``_sub`` hook, until one lands in the second's.  When a
+    class is missed, the targets run over payload 4-tuples in
+    ``all_matrices`` order to the first of a missed class.  When
     a2 == a1 the one square set serves both terms; a zero term goes
     first, so that 0 is the only v.
     """
@@ -164,15 +190,30 @@ def check_universal_exhaustive(a1, a2, field: Field) -> tuple[bool, Mat2 | None]
         a1, a2 = a2, a1
     set1 = build_square_set(field, a1)
     second = set1._first if field(a2) == set1.coeff else build_square_set(field, a2)._first
-    sub = field._sub
+    sub, add, mul = field._sub, field._add, field._mul
     values1 = list(set1._first)  # insertion order; deterministic
-    for t11, t12, t21, t22 in itertools.product(set1._element, repeat=4):  # payloads in element order
+    elems, zero, one = list(set1._element), field.zero().payload, field.one().payload
+
+    def hit(target):
+        t11, t12, t21, t22 = target
         for v11, v12, v21, v22 in values1:
             if (sub(t11, v11), sub(t12, v12), sub(t21, v21), sub(t22, v22)) in second:
-                break
-        else:
-            return False, set1._matrix((t11, t12, t21, t22))
-    return True, None
+                return True
+        return False
+
+    def similarity_class(target):  # (s,) for s*I, else (trace, det)
+        t11, t12, t21, t22 = target
+        if t12 == t21 == zero and t11 == t22:
+            return (t11,)
+        return add(t11, t22), sub(mul(t11, t22), mul(t12, t21))
+
+    representatives = [(s, zero, zero, s) for s in elems]
+    representatives += [(zero, field._neg(d), one, t) for t in elems for d in elems]
+    missed = {similarity_class(r) for r in representatives if not hit(r)}
+    if not missed:
+        return True, None
+    targets = itertools.product(elems, repeat=4)  # payloads in element order
+    return False, set1._matrix(next(t for t in targets if similarity_class(t) in missed))
 
 
 def first_solution(coeffs, target: Mat2, field: Field) -> tuple[Mat2, ...] | None:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import m2forms.oracle
 from m2forms import (
     DiagonalForm,
     ExtensionField,
@@ -38,6 +39,8 @@ GF8 = ExtensionField(2, 3)
 GF9 = ExtensionField(3, 2)
 GF16 = ExtensionField(2, 4)
 F2X = RationalFunctionField2()
+FIELDS = [GF2, GF3, GF4, GF5, GF7, GF8, GF9, GF11, GF13, GF16]
+FIELD_IDS = ["GF2", "GF3", "GF4", "GF5", "GF7", "GF8", "GF9", "GF11", "GF13", "GF16"]
 
 N_GF2 = Mat2.of(GF2, [[0, 1], [0, 0]])
 N_GF3 = Mat2.of(GF3, [[0, 1], [0, 0]])
@@ -230,6 +233,94 @@ class TestPayloadSweep:
         assert mat2_inits == []
         ok, counterexample = check_universal_exhaustive(1, 0, GF4)
         assert not ok and len(mat2_inits) == 1
+
+
+def reference_first(field, coeff):
+    """build_square_set's payload map from every X, as a reference.
+
+    The same tables and loop, without the skip rules: each of the q**4
+    payload 4-tuples X goes through ``setdefault``.
+    """
+    payloads = [e.payload for e in field.elements()]
+    add = {x: {y: field._add(x, y) for y in payloads} for x in payloads}
+    mul = {x: {y: field._mul(x, y) for y in payloads} for x in payloads}
+    times_k = mul[field(coeff).payload]
+    k_squares = [times_k[mul[d][d]] for d in payloads]
+    first = {}
+    for a, ka2 in zip(payloads, k_squares):
+        plus_a, plus_ka2 = add[a], add[ka2]
+        sums = [plus_a[d] for d in payloads]
+        for b in payloads:
+            times_kb = mul[times_k[b]]
+            for c in payloads:
+                times_kc, kbc = mul[times_k[c]], times_kb[c]
+                plus_kbc, e11 = add[kbc], plus_ka2[kbc]
+                for d, kd2, s in zip(payloads, k_squares, sums):
+                    first.setdefault((e11, times_kb[s], times_kc[s], plus_kbc[kd2]), (a, b, c, d))
+    return first
+
+
+def reference_sweep(a1, a2, field):
+    """check_universal_exhaustive by walking every target, as a reference."""
+    if not field(a2):
+        a1, a2 = a2, a1
+    values1, second = list(reference_first(field, a1)), reference_first(field, a2)
+    sub, element = field._sub, {e.payload: e for e in field.elements()}
+    for t11, t12, t21, t22 in itertools.product(element, repeat=4):
+        for v11, v12, v21, v22 in values1:
+            if (sub(t11, v11), sub(t12, v12), sub(t21, v21), sub(t22, v22)) in second:
+                break
+        else:
+            return False, Mat2(*map(element.__getitem__, (t11, t12, t21, t22)))
+    return True, None
+
+
+class TestSkipRules:
+    """Square sets skip repeated squares; sweeps test one target per class."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_every_coefficient_matches_full_enumeration(self, field):
+        for a in field.elements():
+            expected = list(reference_first(field, a).items())
+            assert list(build_square_set(field, a)._first.items()) == expected, a
+
+    @pytest.mark.parametrize("field", FIELDS[:7], ids=FIELD_IDS[:7])
+    def test_every_pair_matches_target_walk(self, field):
+        for a1, a2 in itertools.product(list(field.elements()), repeat=2):
+            assert check_universal_exhaustive(a1, a2, field) == reference_sweep(a1, a2, field), (a1, a2)
+
+    # the parent's full walk made at least 7,852, 34,588 and 106,592 calls
+    @pytest.mark.parametrize("field", [GF5, GF7, GF9], ids=["GF5", "GF7", "GF9"])
+    def test_universal_sweep_calls_sub_fewer_than_q4_times(self, monkeypatch, field):
+        calls = []
+
+        def counted(x, y, hook=field._sub):
+            calls.append(None)
+            return hook(x, y)
+
+        monkeypatch.setattr(field, "_sub", counted)  # fields are interned: undone at teardown
+        for a2 in (field(1), list(field.elements())[-1]):
+            calls.clear()
+            assert check_universal_exhaustive(1, a2, field) == (True, None)
+            assert 0 < len(calls) < field.order**4, (a2, len(calls))
+
+    def test_missed_scalar_class_is_reported(self, monkeypatch):
+        # No real form misses a scalar and nothing earlier (a nonzero
+        # term's trace-0 squares give every scalar), so a set closed under
+        # similarity that lacks the nonzero scalars stands in for a2's.
+        def stand_in(field, coeff):
+            if not field(coeff):
+                zero = (field.zero().payload,) * 4
+                return SquareSet(field, field(coeff), {zero: zero})
+            payloads = [e.payload for e in field.elements()]
+            members = [
+                m for m in itertools.product(payloads, repeat=4)
+                if not (m[1] == m[2] == 0 and m[0] == m[3] != 0)
+            ]
+            return SquareSet(field, field(coeff), dict(zip(members, members)))
+
+        monkeypatch.setattr(m2forms.oracle, "build_square_set", stand_in)
+        assert check_universal_exhaustive(1, 0, GF3) == (False, Mat2.identity(GF3))
 
 
 class TestPayloadKeys:

@@ -95,8 +95,9 @@ class TestDecide:
 class TestTheoremAgainstOracle:
     """The counting criterion against the oracle on every field it can sweep.
 
-    Forms: every coefficient, and every pair, from {0, 1, n} with n a
-    non-square when q is odd; every coefficient pair for q <= 5.
+    Forms: every one-term form, and every pair (1, c) and (0, c), for
+    q <= 13; every coefficient pair for q <= 5.  Over GF(16), every
+    coefficient and every pair from 0, 1 and the last element.
     """
 
     @pytest.mark.parametrize(
@@ -106,10 +107,14 @@ class TestTheoremAgainstOracle:
     def test_universal_exactly_when_the_sweep_misses_nothing(self, desc):
         field = field_from_string(desc)
         elems = list(field.elements())
-        if field.order > 5:
-            n = next((e for e in elems if not e.is_square()), elems[-1])
-            elems = [field(0), field(1), n]
-        forms = [[a] for a in elems] + [list(pair) for pair in itertools.product(elems, repeat=2)]
+        if field.order <= 5:
+            pairs = itertools.product(elems, repeat=2)
+        elif field.order <= 13:
+            pairs = [(a, c) for a in (field(1), field(0)) for c in elems]
+        else:
+            elems = [field(0), field(1), elems[-1]]
+            pairs = itertools.product(elems, repeat=2)
+        forms = [[a] for a in elems] + [list(pair) for pair in pairs]
         for coeffs in forms:
             verdict = decide_universality(DiagonalForm(field, coeffs))
             counterexample = first_unrepresentable(coeffs, field)
