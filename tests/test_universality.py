@@ -95,9 +95,11 @@ class TestDecide:
 class TestTheoremAgainstOracle:
     """The counting criterion against the oracle on every field it can sweep.
 
-    Forms: every one-term form, and every pair (1, c) and (0, c), for
-    q <= 13; every coefficient pair for q <= 5.  Over GF(16), every
-    coefficient and every pair from 0, 1 and the last element.
+    Forms: every coefficient pair for q <= 5.  For 7 <= q <= 13, every
+    one-term form and every pair (1, c), (0, c) and (n, c), with n the
+    first non-square (the last element in characteristic 2), so each
+    pair from {0, 1, n} stays in.  Over GF(16), every coefficient and
+    every pair from 0, 1 and the last element.
     """
 
     @pytest.mark.parametrize(
@@ -110,7 +112,8 @@ class TestTheoremAgainstOracle:
         if field.order <= 5:
             pairs = itertools.product(elems, repeat=2)
         elif field.order <= 13:
-            pairs = [(a, c) for a in (field(1), field(0)) for c in elems]
+            n = next((e for e in elems if not e.is_square()), elems[-1])
+            pairs = [(a, c) for a in (field(1), field(0), n) for c in elems]
         else:
             elems = [field(0), field(1), elems[-1]]
             pairs = itertools.product(elems, repeat=2)
