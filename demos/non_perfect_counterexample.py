@@ -16,8 +16,8 @@ from m2forms import (
     decide_universality,
     decompose,
     f2x_counterexample,
-    f2x_necessary_condition,
 )
+from m2forms.universality import f2x_necessary_condition
 
 
 def main():

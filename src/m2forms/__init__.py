@@ -7,6 +7,9 @@ GF(p^k), and the non-perfect GF(2)(x) where the story genuinely changes.
 A brute-force oracle over small finite fields double-checks both
 directions independently of the constructive solver.
 
+The public names answer the three questions (decide, construct,
+cross-check) and name their records, fields, matrices, forms and the
+errors callers catch; internals are imported from their submodules.
 Importing the package loads none of its submodules: each public name
 below is imported from its submodule on first access (PEP 562).
 """
@@ -23,7 +26,6 @@ _EXPORTS = {
     "NotASquareError": "errors",
     "NotUniversalFormError": "errors",
     "ParseError": "errors",
-    "ZeroCoefficientError": "errors",
     "ExtensionField": "polys",
     "Field": "fields",
     "FieldElement": "fields",
@@ -31,12 +33,9 @@ _EXPORTS = {
     "RationalFunctionField2": "gf2x",
     "Rationals": "fields",
     "field_from_string": "fields",
-    "is_prime": "fields",
     "DiagonalForm": "matrices",
     "Mat2": "matrices",
     "MAX_ORDER": "oracle",
-    "SquareSet": "oracle",
-    "all_matrices": "oracle",
     "build_square_set": "oracle",
     "check_universal_exhaustive": "oracle",
     "first_solution": "oracle",
@@ -44,8 +43,6 @@ _EXPORTS = {
     "representable_two_term": "oracle",
     "Decomposition": "solver",
     "decompose": "solver",
-    "decompose_pair_char2": "solver",
-    "decompose_pair_odd_char": "solver",
     "NOT_UNIVERSAL": "universality",
     "UNDECIDED": "universality",
     "UNIVERSAL": "universality",
@@ -53,9 +50,7 @@ _EXPORTS = {
     "UniversalityVerdict": "universality",
     "decide_universality": "universality",
     "f2x_counterexample": "universality",
-    "f2x_necessary_condition": "universality",
     "lee_criterion": "integer_forms",
-    "nilpotent_witness": "universality",
     "single_term_witness": "universality",
 }
 

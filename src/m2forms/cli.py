@@ -122,17 +122,19 @@ def _parse_int_coeffs(text: str) -> list[int]:
 
 def _request(args):
     """The form and its JSON echo. Parses --field, then --coeffs."""
-    from .fields import field_from_string
+    from .fields import FieldElement, _trim, field_from_string
 
     field = field_from_string(args.field)
     # after the field parses, like each handler's imports: a bad descriptor exits 3 first
     from .matrices import DiagonalForm
 
-    parts = list(_coeff_parts(args.coeffs))
+    text, parts = args.coeffs, list(_coeff_parts(args.coeffs))
     for pos, part in parts:
         if not part.strip():
-            raise ParseError("empty coefficient", args.coeffs, pos)
-    form = DiagonalForm(field, [field.parse(part) for _, part in parts])
+            raise ParseError("empty coefficient", text, pos)
+    # the reader takes each coefficient's span of the argument, trimmed
+    spans = [_trim(text, pos, pos + len(part)) for pos, part in parts]
+    form = DiagonalForm(field, [FieldElement(field, field._parse_payload(text, *s)) for s in spans])
     return form, {"field": str(field), "coeffs": [str(c) for c in form.coeffs]}
 
 

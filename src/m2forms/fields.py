@@ -98,18 +98,31 @@ def _parse_int(digits: str, text: str, pos: int) -> int:
         raise ParseError("too many digits", text, pos) from None
 
 
+def _trim(text: str, start: int, end: int) -> tuple[int, int]:
+    """The span ``text[start:end]`` less the whitespace at either end."""
+    while start < end and text[start].isspace():
+        start += 1
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    return start, end
+
+
 def _parse_poly_text(text: str, var: str, start: int, end: int) -> list[int]:
-    """Parse ``text[start:end]`` as a sum of terms in ``var``.
+    """Parse the span ``text[start:end]``, which has no whitespace at
+    either end, as a sum of terms in ``var``.
 
     Terms are ``c``, ``t``, ``t^e``, ``c*t`` and ``c*t^e``, joined by
-    '+' or '-'; digits are ASCII 0-9 only.  Returns the accumulated
-    signed coefficients in ascending degree; callers reduce them into
-    their own field.  Error positions are indices into the whole ``text``.
+    '+' or '-'; digits are ASCII 0-9 only.  Whitespace may stand between
+    tokens, and the digits of one number are one token.  Returns the
+    accumulated signed coefficients in ascending degree; callers reduce
+    them into their own field.  Error positions are indices into the
+    whole ``text``.
     """
     if end == start:
         raise ParseError("empty polynomial", text, start)
-    # sign, coefficient, '*', then the variable with an optional '^' and exponent
-    term = re.compile(rf"([+-]?)([0-9]*)(\*?)(?:({var})(?:\^([0-9]*))?)?")
+    # sign, coefficient, '*', then the variable with an optional '^' and
+    # exponent; each token takes the whitespace after it
+    term = re.compile(rf"([+-]?)\s*([0-9]*)\s*(\*?)\s*(?:({var})\s*(?:\^\s*([0-9]*))?)?\s*")
     coeffs: list[int] = []
     i = start
     while i < end:
@@ -118,8 +131,8 @@ def _parse_poly_text(text: str, var: str, start: int, end: int) -> list[int]:
         if not sign and i > start:
             raise ParseError("expected '+' or '-'", text, i)
         coeff = _parse_int(digits, text, m.start(2)) if digits else 1
-        if star and not has_var:
-            raise ParseError(f"expected '{var}' after '*'", text, m.end(3))
+        if star and not has_var:  # the match ends where the variable was due
+            raise ParseError(f"expected '{var}' after '*'", text, m.end())
         if exp_digits == "":
             raise ParseError("expected exponent digits", text, m.start(5))
         exp = 1 if has_var else 0
@@ -361,11 +374,16 @@ class Field:
         return FieldElement(self, self._from_int(1))
 
     def parse(self, text: str) -> FieldElement:
-        """Parse element text in this field's grammar; whitespace is ignored."""
-        s = "".join(str(text).split())
-        if not s:
+        """Parse element text in this field's grammar.
+
+        Whitespace may stand between tokens, but not inside a number, and
+        error positions index ``text`` as given.
+        """
+        text = str(text)
+        start, end = _trim(text, 0, len(text))
+        if start == end:
             raise ParseError("empty element", text, 0)
-        return FieldElement(self, self._parse_payload(s))
+        return FieldElement(self, self._parse_payload(text, start, end))
 
     def elements(self):
         """Iterate all elements in canonical order (finite fields only)."""
@@ -584,7 +602,7 @@ class Rationals(_Fractions):
     rationals have equal payloads.
     """
 
-    _RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+    _RE = re.compile(r"([+-]?)\s*([0-9]+)(?:\s*/\s*([0-9]+))?")
     _quo = operator.floordiv
     _ring_mul, _ring_add, _ring_sub = operator.mul, operator.add, operator.sub
 
@@ -619,14 +637,16 @@ class Rationals(_Fractions):
         n, d = a
         return str(n) if d == 1 else f"{n}/{d}"
 
-    def _parse_payload(self, s):
-        if not self._RE.match(s):
-            raise ParseError("expected [-]digits[/digits]", s, 0)
-        num, slash, den_text = s.partition("/")
-        den = _parse_int(den_text, s, len(num) + 1) if slash else 1
+    def _parse_payload(self, text, start, end):
+        m = self._RE.fullmatch(text, start, end)
+        if not m:
+            raise ParseError("expected [-]digits[/digits]", text, start)
+        sign, num, den = m.groups()
+        den = 1 if den is None else _parse_int(den, text, m.start(3))
         if den == 0:
-            raise ParseError("zero denominator", s, len(num) + 1)
-        return self._reduce(_parse_int(num, s, 0), den)
+            raise ParseError("zero denominator", text, m.start(3))
+        num = _parse_int(num, text, start)
+        return self._reduce(-num if sign == "-" else num, den)
 
     def random_element(self, rng) -> FieldElement:
         num = rng.randint(-(10**6), 10**6)
@@ -644,7 +664,7 @@ class PrimeField(Field):
     reached.
     """
 
-    _RE = re.compile(r"^[+-]?[0-9]+$")
+    _RE = re.compile(r"([+-]?)\s*([0-9]+)")
 
     @staticmethod
     def _key(p: int):
@@ -681,16 +701,23 @@ class PrimeField(Field):
     def _pow(self, a, e):
         return pow(a, e, self.p)
 
-    def _parse_payload(self, s):
-        if not self._RE.match(s):
-            raise ParseError("expected [-]digits", s, 0)
-        return _parse_int(s, s, 0) % self.p
+    def _parse_payload(self, text, start, end):
+        m = self._RE.fullmatch(text, start, end)
+        if not m:
+            raise ParseError("expected [-]digits", text, start)
+        n = _parse_int(m[2], text, start)
+        return (-n if m[1] == "-" else n) % self.p
 
     def _payload_from_index(self, idx: int):
         return idx
 
 
-_FIELD_RE = re.compile(r"^GF\(([0-9]+)(?:\^([0-9]+))?\)(?:;modulus=(.+))?$")
+# Q, F2(X), GF(q) or GF(p^k), the GF forms with an optional ;modulus=<poly in t>;
+# compiled on first use, so importing the module does not pay for it
+_FIELD_PATTERN = (
+    r"\s*(?:(Q)|(F2)\s*\(\s*X\s*\)"
+    r"|GF\s*\(\s*([0-9]+)\s*(?:\^\s*([0-9]+)\s*)?\)(?:\s*;\s*modulus\s*=\s*(\S.*?))?)\s*"
+)
 
 
 def _prime_power(n: int):
@@ -710,29 +737,29 @@ def field_from_string(text: str) -> Field:
     Accepted forms: ``Q``, ``GF(p)``, ``GF(p^k)``, ``F2(X)``, with an
     optional ``;modulus=<poly in t>`` suffix on the GF forms.  A bare
     prime power such as ``GF(9)`` is taken as GF(3^2) with the default
-    modulus.
+    modulus.  Whitespace may stand between tokens, but not inside a
+    number or a name.
     """
-    s = "".join(text.split())
-    if s == "Q":
+    m = re.fullmatch(_FIELD_PATTERN, text, re.DOTALL)
+    if not m:
+        raise ParseError(f"unrecognized field: {text!r}", text, 0)
+    rationals, f2x, base, exponent, modulus = m.groups()
+    if rationals:
         return Rationals()
-    if s == "F2(X)":
+    if f2x:
         from .gf2x import RationalFunctionField2
 
         return RationalFunctionField2()
-    m = _FIELD_RE.match(s)
-    if not m:
-        raise ParseError(f"unrecognized field: {text!r}", text, 0)
-    base = _parse_int(m.group(1), text, 0)
+    base = _parse_int(base, text, 0)
     if base >= _PRIME_BOUND:  # above every supported prime and field order
         raise ParseError("orders and characteristics from 2**64 up are not supported", text, 0)
-    modulus = m.group(3)
-    if m.group(2) is None:
+    if exponent is None:
         pk = _prime_power(base)
         if pk is None:
             raise ParseError(f"{base} is not a prime power", text, 0)
         p, k = pk
     else:
-        p, k = base, _parse_int(m.group(2), text, 0)
+        p, k = base, _parse_int(exponent, text, 0)
         if not is_prime(p):
             raise ParseError(f"{p} is not prime", text, 0)
         if k < 1:

@@ -29,7 +29,7 @@ parser finds the top-level '/' with ``fields._scan_marks``.
 import operator
 
 from .errors import ParseError
-from .fields import FieldElement, _Fractions, _parse_poly_text, _render_poly, _scan_marks
+from .fields import FieldElement, _Fractions, _parse_poly_text, _render_poly, _scan_marks, _trim
 
 K = 16  # fewest set bits in the smaller factor for one integer product (see above)
 DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # base-2 text -> one 0/1 byte per digit
@@ -132,25 +132,26 @@ class RationalFunctionField2(_Fractions):
     def _inv(self, a):
         return (a[1], a[0])
 
-    def _parse_payload(self, s):
-        slash, groups, opened = len(s), set(), 0
-        for i, ch in _scan_marks(s, 0, len(s)):
+    def _parse_payload(self, text, start, end):
+        slash, groups, opened = end, set(), 0
+        for i, ch in _scan_marks(text, start, end):
             if ch == "(":
                 opened = i
             elif ch == ")":
-                groups.add((opened, i + 1))  # a top-level group s[opened:i+1]
-            elif ch == "/" and slash == len(s):
+                groups.add((opened, i + 1))  # a top-level group text[opened:i+1]
+            elif ch == "/" and slash == end:
                 slash = i
 
-        def side(start, end):  # s[start:end] packed, less one pair of parens around all of it
+        def side(start, end):  # text[start:end] trimmed and packed, less parens around it
+            start, end = _trim(text, start, end)
             if (start, end) in groups:
-                start, end = start + 1, end - 1
-            return sum(1 << e for e, c in enumerate(_parse_poly_text(s, "x", start, end)) if c % 2)
+                start, end = _trim(text, start + 1, end - 1)
+            return sum(1 << e for e, c in enumerate(_parse_poly_text(text, "x", start, end)) if c % 2)
 
-        den = side(slash + 1, len(s)) if slash < len(s) else 1
+        den = side(slash + 1, end) if slash < end else 1
         if den == 0:
-            raise ParseError("zero denominator", s, slash + 1)
-        return self._reduce(side(0, slash), den)
+            raise ParseError("zero denominator", text, _trim(text, slash + 1, end)[0])
+        return self._reduce(side(start, slash), den)
 
     def _render(self, a):
         num, den = a

@@ -7,13 +7,16 @@ vector (a1, ..., am) and evaluates sum(ai * Xi**2) at a tuple of matrices;
 ``evaluates_to`` tests that value against a target, over Q and F2(X) by
 cross-multiplying unreduced fractions instead of building the value.
 ``Mat2.parse`` splits ``[[a,b],[c,d]]`` with ``fields._scan_marks``, which
-names an unbalanced parenthesis at its position in the matrix text.
+names an unbalanced parenthesis at its position in the matrix text, and
+hands each entry's span of that text to the field's reader.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import ArityMismatchError, FieldMismatchError, ParseError
-from .fields import Field, FieldElement, _Fractions, _scan_marks
+from .fields import Field, FieldElement, _Fractions, _scan_marks, _trim
 
 
 class Mat2:
@@ -146,8 +149,14 @@ class Mat2:
 
     @classmethod
     def parse(cls, field: Field, text: str) -> Mat2:
-        """Parse ``[[e,e],[e,e]]`` with entries in the field's grammar."""
-        return cls(*map(field.parse, _split_matrix("".join(str(text).split()))))
+        """Parse ``[[e,e],[e,e]]`` with entries in the field's grammar.
+
+        Whitespace may stand between tokens, and error positions index
+        ``text`` as given.
+        """
+        text = str(text)
+        spans = _split_matrix(text)
+        return cls(*(FieldElement(field, field._parse_payload(text, *span)) for span in spans))
 
 
 def _payloads(matrix: Mat2) -> tuple:
@@ -155,31 +164,43 @@ def _payloads(matrix: Mat2) -> tuple:
     return (matrix.e11.payload, matrix.e12.payload, matrix.e21.payload, matrix.e22.payload)
 
 
+# each bracket separator, with the whitespace before, inside and after it
+_SEPARATORS = {s: re.compile(r"\s*".join(["", *map(re.escape, s), ""])) for s in ("[[", ",[", "]")}
+
+
 def _split_matrix(s: str):
-    """Split ``[[a,b],[c,d]]`` at the ',' and ']' outside parentheses."""
-    if not s.startswith("[["):
-        raise ParseError("expected '[['", s, 0)
-    marks = _scan_marks(s, 2, len(s))
-    entries, i = [], 2
+    """Trimmed spans of the entries of ``[[a,b],[c,d]]``, cut at the ','
+    and ']' outside parentheses."""
+    start, end = _trim(s, 0, len(s))
+    opened = _SEPARATORS["[["].match(s, start)
+    if not opened:
+        raise ParseError("expected '[['", s, start)
+    i = opened.end()
+    marks = _scan_marks(s, i, end)
+    spans = []
     for stop, then in ((",", ""), ("]", ",["), (",", ""), ("]", "]")):
         for j, ch in marks:
             if ch in "[],":
                 break
         else:
-            j, ch = len(s), ""
+            j, ch = end, ""
         if ch != stop:
             raise ParseError(f"unexpected {ch!r} in entry" if ch else f"expected {stop!r}", s, j)
-        if j == i:
-            raise ParseError("empty matrix entry", s, i)
-        entries.append(s[i:j])
-        if not s.startswith(then, j + 1):
-            raise ParseError(f"expected {then!r}", s, j + 1)
-        for _ in then:  # its characters are marks too
-            next(marks)
-        i = j + 1 + len(then)
+        span = _trim(s, i, j)
+        if span[0] == j:
+            raise ParseError("empty matrix entry", s, j)
+        spans.append(span)
+        i = j + 1
+        if then:
+            after = _SEPARATORS[then].match(s, i)
+            if not after:
+                raise ParseError(f"expected {then!r}", s, _trim(s, i, end)[0])
+            for _ in then:  # its characters are marks too
+                next(marks)
+            i = after.end()
     if i != len(s):
         raise ParseError("trailing characters after matrix", s, i)
-    return entries
+    return spans
 
 
 class DiagonalForm:

@@ -14,9 +14,9 @@ once every scalar is in, each X of trace 0, whose square is the scalar
 -det(X) * I.  A sweep tests one target per similarity class (conjugating
 a solution gives a solution), subtracting with the field's ``_sub``
 hook, and walks the targets' payload 4-tuples only to find the first of
-a missed class.  Only results (a first counterexample, a witness,
-``first_preimage`` when read) become ``Mat2``.  The X1 scan of a query
-stays on ``Mat2`` and forms a1 * X1**2 as ``X1.square(a1)``.
+a missed class.  Only results (a first counterexample, a witness)
+become ``Mat2``.  The X1 scan of a query stays on ``Mat2`` and forms
+a1 * X1**2 as ``X1.square(a1)``.
 
 ``first_solution`` and ``first_unrepresentable`` answer every one- and
 two-term query (CLI, single-term explanation) over fields of order at
@@ -56,32 +56,24 @@ class SquareSet:
     """The image set {coeff * X**2} over all 2x2 matrices of a finite field.
 
     ``first`` maps the payload 4-tuple of each member to the payload
-    4-tuple of its first X (in enumeration order); the field's canonical
-    elements rebuild matrices from payloads.  ``first_preimage`` is that
-    dict as ``dict[Mat2, Mat2]`` in the same order, built on first read;
-    its keys are the members.  Membership looks up the payload key of a
-    ``Mat2`` over the set's own field.
+    4-tuple of its first X (in enumeration order); ``members`` is its
+    keys, and the field's canonical elements rebuild matrices from
+    payloads.  Membership looks up the payload key of a ``Mat2`` over
+    the set's own field.
     """
 
-    __slots__ = ("field", "coeff", "_first", "_element", "_first_preimage")
+    __slots__ = ("field", "coeff", "_first", "_element")
 
     def __init__(self, field: Field, coeff: FieldElement, first: dict[tuple, tuple]):
-        self.field, self.coeff, self._first, self._first_preimage = field, coeff, first, None
+        self.field, self.coeff, self._first = field, coeff, first
         self._element = {e.payload: e for e in field.elements()}
 
     def _matrix(self, payloads) -> Mat2:
         return Mat2(*map(self._element.__getitem__, payloads))
 
     @property
-    def first_preimage(self) -> dict[Mat2, Mat2]:
-        if self._first_preimage is None:
-            matrix = self._matrix
-            self._first_preimage = {matrix(v): matrix(x) for v, x in self._first.items()}
-        return self._first_preimage
-
-    @property
     def members(self):
-        return self.first_preimage.keys()
+        return self._first.keys()
 
     def __contains__(self, matrix) -> bool:
         return isinstance(matrix, Mat2) and matrix.field == self.field and _payloads(matrix) in self._first

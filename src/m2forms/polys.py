@@ -10,7 +10,7 @@ descriptor makes ``fields.field_from_string`` compile it.
 
 import operator
 
-from .fields import Field, _parse_poly_text, _render_poly, is_prime
+from .fields import Field, _parse_poly_text, _render_poly, _trim, is_prime
 
 
 def normalize(coeffs, p):
@@ -203,7 +203,7 @@ class ExtensionField(Field):
                     f"no default modulus for GF({p}^{k}); pass one explicitly"
                 ) from None
         if isinstance(modulus, str):
-            modulus = _parse_dense("".join(modulus.split()), p)
+            modulus = _parse_dense(modulus, p)
         else:
             modulus = normalize(tuple(modulus), p)
         return (p, k, modulus)
@@ -224,8 +224,8 @@ class ExtensionField(Field):
         def mulmod(a, b):
             return mod(mul(a, b, p), modulus, p)
 
-        def parse(s):
-            return mod(_parse_dense(s, p), modulus, p)
+        def parse(text, start, end):
+            return mod(normalize(_parse_poly_text(text, "t", start, end), p), modulus, p)
 
         if p != 2 and q > _TABLE_MAX_ORDER:
             self._from_int = lambda n: normalize((n,), p)
@@ -274,7 +274,7 @@ class ExtensionField(Field):
 
         self._from_int = lambda n: n % p * one
         self._payload_from_index = list(map(enc, tuples)).__getitem__
-        self._parse_payload = lambda s: enc(parse(s))
+        self._parse_payload = lambda *span: enc(parse(*span))
         self._render = lambda a: _render_poly([a // w % p for w in weights], "t")
         self._mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
         self._inv = lambda a: exp[q1 - log[a]]
@@ -298,5 +298,5 @@ def _digits(n: int, p: int) -> tuple:
 
 
 def _parse_dense(s: str, p: int) -> tuple:
-    """Parse whitespace-free text in t as a normalized polynomial over GF(p)."""
-    return normalize(_parse_poly_text(s, "t", 0, len(s)), p)
+    """Parse text in t as a normalized polynomial over GF(p)."""
+    return normalize(_parse_poly_text(s, "t", *_trim(s, 0, len(s))), p)

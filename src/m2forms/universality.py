@@ -42,9 +42,6 @@ class UniversalityVerdict(namedtuple("UniversalityVerdict", "status witness reas
         return super().__new__(cls, status, witness, reason)
 
 
-nilpotent_witness = Mat2.nilpotent
-
-
 def decide_universality(form: DiagonalForm) -> UniversalityVerdict:
     """Decide whether ``form`` represents every 2x2 matrix over its field.
 
@@ -55,7 +52,7 @@ def decide_universality(form: DiagonalForm) -> UniversalityVerdict:
     if len(nonzero) < 2:
         return UniversalityVerdict(
             NOT_UNIVERSAL,
-            nilpotent_witness(form.field),
+            Mat2.nilpotent(form.field),
             "fewer-than-two-nonzero-coefficients",
         )
     if form.field.perfect:
@@ -82,7 +79,7 @@ def single_term_witness(a: FieldElement) -> tuple[Mat2, SingleTermExplanation]:
     from . import oracle
 
     field = a.field
-    witness = nilpotent_witness(field)
+    witness = Mat2.nilpotent(field)
     confirmed = None
     if field.finite and field.order <= oracle.MAX_ORDER:
         confirmed = oracle.first_solution([a], witness, field) is None

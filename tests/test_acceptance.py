@@ -24,11 +24,10 @@ from m2forms import (
     build_square_set,
     check_universal_exhaustive,
     decompose,
-    decompose_pair_char2,
-    decompose_pair_odd_char,
-    f2x_necessary_condition,
     lee_criterion,
 )
+from m2forms.solver import decompose_pair_char2, decompose_pair_odd_char
+from m2forms.universality import f2x_necessary_condition
 
 Q = Rationals()
 F2X = RationalFunctionField2()

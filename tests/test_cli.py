@@ -105,7 +105,7 @@ class TestDecompose:
         assert code == 3
         payload = json.loads(out)
         assert payload["error"] == "ParseError"
-        assert "too many digits (at position 0" in payload["message"]
+        assert payload["message"].startswith("too many digits (at position 2 in '[[111")
 
     def test_json_error_payload(self, capsys):
         code, out, _ = run(
@@ -474,7 +474,7 @@ class TestErrorExactOutput:
             (
                 ["verify", "--field", "GF(3)", "--coeffs", "1", "--target", "[[0,0],[0,0]]",
                  "--matrices", "[[0,0],[0,3/2]]"], 3,
-                "error: expected [-]digits (at position 0 in '3/2')\n",
+                "error: expected [-]digits (at position 10 in '[[0,0],[0,3/2]]')\n",
             ),
             (
                 ["universal-z", "--coeffs", "1,x"], 3,

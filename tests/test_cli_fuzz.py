@@ -9,16 +9,21 @@ well-formed requests per field, goes back through ``verify`` as printed
 and must exit 0 with ``check: OK``.  Another test puts each malformed
 entry into each field: together they reach every message of the
 polynomial reader, and the terms ``*t`` and ``2t``, outside the term
-grammar, exit 3 in every field.  A last one puts each malformed matrix
+grammar, exit 3 in every field.  Another puts each malformed matrix
 into each field: each exits 3, and together they reach every message of
-the matrix reader, unbalanced parentheses included.
+the matrix reader, unbalanced parentheses included.  A last one pins one
+request per reader message with whitespace around the fault: its error
+quotes the whole argument as typed and points into it.
 """
 
 import json
 import random
 import time
 
-from m2forms.cli import main
+import pytest
+
+from m2forms import ParseError
+from m2forms.cli import _HANDLERS, build_parser, main
 
 SEED = 20201
 RUNS = 1000
@@ -185,3 +190,49 @@ def test_malformed_matrices_in_every_field(capsys):
             messages.add(_message(capsys.readouterr().err))
     assert set(MATRIX_MESSAGES) <= messages
     assert any(m.startswith("unexpected ") and m.endswith(" in entry") for m in messages)
+
+
+# (field, option, argument, message, position in the argument); whitespace
+# stands around each fault, and no whitespace splits a number
+TYPED = [
+    ("F2(X)", "--coeffs", "1, ( )", "empty polynomial", 5),
+    ("GF(9)", "--coeffs", "1, 2 t", "expected '+' or '-'", 5),
+    ("GF(9)", "--coeffs", "1,  " + "9" * 5000 + " ", "too many digits", 4),
+    ("GF(9)", "--coeffs", "1, t ^ + 1", "expected exponent digits", 7),
+    ("GF(9)", "--coeffs", "1, t ^ 99999", "exponent too large", 7),
+    ("GF(9)", "--coeffs", "1, 2 * 5", "expected 't' after '*'", 7),
+    ("F2(X)", "--coeffs", "1, 1 * 1", "expected 'x' after '*'", 7),
+    ("GF(9)", "--coeffs", "1, - - t", "expected a term", 5),
+    ("Q", "--coeffs", "1, 1 2", "expected [-]digits[/digits]", 3),
+    ("Q", "--coeffs", "1, 3 / 0", "zero denominator", 7),
+    ("GF(5)", "--coeffs", "1, - x", "expected [-]digits", 3),
+    ("F2(X)", "--coeffs", "1, x / ( 0 )", "zero denominator", 7),
+    ("F2(X)", "--coeffs", "1, x + 1 )", "unbalanced ')'", 9),
+    ("F2(X)", "--coeffs", "1, ( x + 1 ", "unbalanced '('", 9),
+    ("Q", "--coeffs", "1, ,2", "empty coefficient", 2),
+    ("GF(3)", "--target", " [ 1 ]", "expected '[['", 1),
+    ("GF(3)", "--target", "[[ 1 , 2 ] , [ 3 ", "expected ','", 16),
+    ("GF(3)", "--target", "[[ 1 , 2 ] , [ 3 , 4 ", "expected ']'", 20),
+    ("GF(3)", "--target", "[[ 1 , 2 ] [ 3 , 4 ] ]", "expected ',['", 11),
+    ("GF(3)", "--target", "[[ 1 , ] , [ 3 , 4 ] ]", "empty matrix entry", 7),
+    ("GF(3)", "--target", "[[ 1 , 2 ] , [ 3 , 4 ] ] x", "trailing characters after matrix", 25),
+    ("GF(3)", "--target", "[[ 1 ] , [ 3 , 4 ] ]", "unexpected ']' in entry", 5),
+    ("GF(3)", "--target", "[[ 1, 0 ], [ 0, 2) ]]", "unbalanced ')'", 17),
+    ("GF(3)", "--target", "[[ 1, 0 ], [ 0, ( 2 ]] ", "unbalanced '('", 21),
+    ("GF(9)", "--target", "[[1,t^],[0,1]]", "expected exponent digits", 6),
+    ("GF(3)", "--matrices", "[[ 0, 0 ], [ 0, 3 / 2 ]]", "expected [-]digits", 16),
+]
+
+
+@pytest.mark.parametrize("field, option, argument, message, pos", TYPED,
+                         ids=[f"{m}-{o}" for _, o, _, m, _ in TYPED])
+def test_errors_point_into_the_argument_as_typed(field, option, argument, message, pos):
+    argv = ["verify", "--field", field, "--coeffs", "1", "--target", "[[0,0],[0,0]]",
+            "--matrices", "[[0,0],[0,0]]"]
+    argv[argv.index(option) + 1] = argument
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ParseError) as caught:
+        _HANDLERS["verify"](args)
+    err = caught.value
+    assert (err.text, err.pos) == (argument, pos)
+    assert str(err) == f"{message} (at position {pos} in {argument!r})"

@@ -29,10 +29,9 @@ from m2forms import (
     decompose,
     field_from_string,
     gf2x,
-    is_prime,
     polys,
 )
-from m2forms.fields import _FIELDS, _prime_power, _render_poly
+from m2forms.fields import _FIELDS, _prime_power, _render_poly, is_prime
 from m2forms.polys import _parse_dense
 
 Q = Rationals()
@@ -74,6 +73,11 @@ class TestRationals:
         assert Q.parse("-27/25").payload == (-27, 25)
         assert Q.parse("4/6") == Q.parse("2/3")
         assert str(Q.parse(" -2 / 4 ")) == "-1/2"
+        assert str(Q.parse("- 2/4")) == "-1/2"
+        with pytest.raises(ParseError, match=r"at position 1 in ' 1 2'"):
+            Q.parse(" 1 2")
+        with pytest.raises(ParseError, match=r"^empty element \(at position 0 in ' \\t'\)$"):
+            Q.parse(" \t")
 
     def test_parse_rejects(self):
         for bad in ["", "1.5", "1/", "/2", "1/0", "a", "1/2/3"]:
@@ -597,6 +601,12 @@ class TestInterning:
         assert field_from_string("GF(7^1)") is GF7
         assert Rationals() is field_from_string("Q") is Q
         assert RationalFunctionField2() is field_from_string(" F2( X ) ") is F2X
+        assert field_from_string(" GF ( 3 ^ 2 ) ; modulus = t ^ 2 + 1 ") is GF9
+
+    @pytest.mark.parametrize("text", ["GF(1 1)", "GF(3^ 2 2)", "G F(7)", "F 2(X)"])
+    def test_whitespace_splits_no_number_or_name(self, text):
+        with pytest.raises(ParseError, match="unrecognized field"):
+            field_from_string(text)
 
     def test_distinct_moduli_are_distinct_fields(self):
         other = ExtensionField(2, 3, "t^3+t^2+1")
@@ -1206,7 +1216,7 @@ class TestBinder:
         bare = object.__new__(ExtensionField)
         bare._build(*field._args)
         del bare.p, bare.k, bare.modulus
-        t, two = bare._parse_payload("t"), bare._from_int(2)
+        t, two = bare._parse_payload("t", 0, 1), bare._from_int(2)
         assert bare._payload_from_index(field.p) == t
         quotient = bare._mul(bare._add(t, two), bare._inv(bare._neg(t)))
         expected = (field.parse("t") + 2) / -field.parse("t")

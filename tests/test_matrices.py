@@ -263,6 +263,31 @@ class TestParsing:
         m = Mat2.parse(Q, " [[ 1/5 , 2 ], [ 0, -1 ]] ")
         assert m == Mat2.of(Q, [["1/5", 2], [0, -1]])
 
+    @pytest.mark.parametrize(
+        "field, text, same",
+        [
+            (GF9, "[ [ 2 * t ^ 2 + 1 , - t ] , [ 0 , t ] ]", "[[2*t^2+1,-t],[0,t]]"),
+            (F2X, "[[ ( x + 1 ) / ( x ^ 2 ) ,\t1 ],\n[ 0 , x / x ]]", "[[(x+1)/(x^2),1],[0,1]]"),
+            (GF5, "[[ - 3 , + 4 ], [ 0, 1 ]]", "[[-3,4],[0,1]]"),
+        ],
+    )
+    def test_whitespace_between_tokens(self, field, text, same):
+        assert Mat2.parse(field, text) == Mat2.parse(field, same)
+
+    @pytest.mark.parametrize(
+        "field, text, message, pos",
+        [
+            (Q, "[[1 2,0],[0,1]]", "expected [-]digits[/digits]", 2),
+            (GF5, "[[1,0],[0, 1 2]]", "expected [-]digits", 11),
+            (GF9, "[[t^1 0,0],[0,1]]", "expected '+' or '-'", 6),
+            (F2X, "[[x,0],[0,1 1*x]]", "expected '+' or '-'", 12),
+        ],
+    )
+    def test_whitespace_splits_no_number(self, field, text, message, pos):
+        with pytest.raises(ParseError) as info:
+            Mat2.parse(field, text)
+        assert str(info.value) == f"{message} (at position {pos} in {text!r})"
+
     def test_parse_extension_entries(self):
         m = Mat2.parse(GF9, "[[t+1,2],[t,2*t]]")
         assert m.e11 == GF9.parse("t+1")

@@ -17,8 +17,6 @@ from m2forms import (
     PrimeField,
     RationalFunctionField2,
     Rationals,
-    SquareSet,
-    all_matrices,
     build_square_set,
     check_universal_exhaustive,
     decompose,
@@ -26,6 +24,7 @@ from m2forms import (
     first_unrepresentable,
     representable_two_term,
 )
+from m2forms.oracle import SquareSet, all_matrices
 
 Q = Rationals()
 GF2 = PrimeField(2)
@@ -70,7 +69,7 @@ class TestSquareSet:
 
     def test_zero_coefficient(self):
         squares = build_square_set(GF5, 0)
-        assert squares.members == frozenset([Mat2.zero(GF5)])
+        assert [squares._matrix(v) for v in squares.members] == [Mat2.zero(GF5)]
 
     def test_nilpotent_excluded(self):
         squares = build_square_set(GF3, 1)
@@ -78,12 +77,13 @@ class TestSquareSet:
 
     def test_first_preimage_consistency(self):
         squares = build_square_set(GF3, 2)
-        for value, x in squares.first_preimage.items():
-            assert x.square().scale(GF3(2)) == value
+        for value, x in squares._first.items():
+            assert squares._matrix(x).square().scale(GF3(2)) == squares._matrix(value)
 
     def test_preimage_is_first_in_order(self):
         squares = build_square_set(GF2, 1)
-        assert squares.first_preimage[Mat2.zero(GF2)] == Mat2.zero(GF2)
+        zero = (0, 0, 0, 0)  # payload 4-tuple of the zero matrix over GF(2)
+        assert squares._matrix(squares._first[zero]) == Mat2.zero(GF2)
 
     def test_order_bound(self):
         with pytest.raises(FieldTooLargeError):
@@ -109,7 +109,9 @@ class TestSquareSet:
             first = {}
             for x in all_matrices(field):
                 first.setdefault(x.square().scale(a), x)
-            assert list(build_square_set(field, a).first_preimage.items()) == list(first.items()), a
+            squares = build_square_set(field, a)
+            matrix = squares._matrix
+            assert [(matrix(v), matrix(x)) for v, x in squares._first.items()] == list(first.items()), a
 
     def test_build_takes_no_matrix_square(self, square_calls):
         squares = build_square_set(GF9, 1)
@@ -326,19 +328,17 @@ class TestSkipRules:
 class TestPayloadKeys:
     """Square sets are keyed by payload 4-tuples, which repeat across fields."""
 
-    def test_build_makes_no_matrix_until_first_preimage_is_read(self, mat2_inits):
+    def test_build_and_members_make_no_matrix(self, mat2_inits):
         squares = build_square_set(GF9, 1)
+        assert len(squares.members) == 2381 and squares.members == squares._first.keys()
         assert mat2_inits == []
-        first = squares.first_preimage
-        assert len(first) == 2381 and len(mat2_inits) == 2 * 2381
-        assert squares.first_preimage is first and squares.members == first.keys()
-        assert len(mat2_inits) == 2 * 2381
 
     def test_matrix_over_another_field_with_member_payloads(self):
         squares = build_square_set(GF7, 1)
         assert len(squares.members) == 865
-        for member in squares.members:
-            twin = Mat2(*(FieldElement(GF8, e.payload) for e in member.entries()))
+        for payloads in squares.members:
+            member = squares._matrix(payloads)
+            twin = Mat2(*(FieldElement(GF8, p) for p in payloads))
             assert member in squares
             assert twin not in squares, member
 
@@ -412,7 +412,9 @@ class TestOneTermAsTwoTerm:
 
     def test_zero_coefficient_set_needs_no_squaring(self, square_calls):
         squares = build_square_set(GF16, 0)
-        assert dict(squares.first_preimage) == {Mat2.zero(GF16): Mat2.zero(GF16)}
+        matrix = squares._matrix
+        assert {matrix(v): matrix(x) for v, x in squares._first.items()} == {
+            Mat2.zero(GF16): Mat2.zero(GF16)}
         assert square_calls == []
 
     # a zero term is the zero matrix, so X1 = 0 is the only X1 tried: a hit

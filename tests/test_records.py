@@ -23,12 +23,12 @@ from m2forms import (
     ParseError,
     PrimeField,
     SingleTermExplanation,
-    SquareSet,
     UniversalityVerdict,
     build_square_set,
     decompose,
     single_term_witness,
 )
+from m2forms.oracle import SquareSet
 
 ROOT = Path(__file__).resolve().parent.parent
 GF2 = PrimeField(2)
@@ -130,20 +130,24 @@ class TestSquareSet:
         squares = build_square_set(GF2, 1)
         assert squares.field is GF2
         assert squares.coeff == GF2(1)
-        assert squares.members == squares.first_preimage.keys()
+        assert squares.members == squares._first.keys()
         assert type(squares.members) is type({}.keys())
         assert Mat2.identity(GF2) in squares
         assert Mat2.nilpotent(GF2) not in squares
-        x = squares.first_preimage[Mat2.identity(GF2)]
+        x = squares._matrix(squares._first[(1, 0, 0, 1)])  # the payloads of I over GF(2)
         assert x.square() == Mat2.identity(GF2)
 
     def test_direct_construction(self):
         zero = (0, 0, 0, 0)  # payload 4-tuple of the zero matrix over GF(2)
         squares = SquareSet(GF2, GF2(0), {zero: zero})
-        assert squares.first_preimage == {Mat2.zero(GF2): Mat2.zero(GF2)}
-        assert list(squares.members) == [Mat2.zero(GF2)]
+        assert list(squares.members) == [zero]
+        assert squares._matrix(squares._first[zero]) == Mat2.zero(GF2)
         assert Mat2.zero(GF2) in squares
         assert Mat2.identity(GF2) not in squares
+
+    def test_one_representation(self):
+        assert SquareSet.__slots__ == ("field", "coeff", "_first", "_element")
+        assert not hasattr(build_square_set(GF2, 1), "first_preimage")
 
 
 class TestErrorPickling:
@@ -260,23 +264,27 @@ def test_field_core_import_loads_no_family_kernel(pythons):
 # every public name and the submodule that defines it, in __all__ order
 PUBLIC = [
     ("errors", "ArityMismatchError CharacteristicError FieldMismatchError FieldTooLargeError "
-               "InfiniteFieldError NotASquareError NotUniversalFormError ParseError "
-               "ZeroCoefficientError"),
+               "InfiniteFieldError NotASquareError NotUniversalFormError ParseError"),
     ("polys", "ExtensionField"),
     ("fields", "Field FieldElement PrimeField"),
     ("gf2x", "RationalFunctionField2"),
-    ("fields", "Rationals field_from_string is_prime"),
+    ("fields", "Rationals field_from_string"),
     ("matrices", "DiagonalForm Mat2"),
-    ("oracle", "MAX_ORDER SquareSet all_matrices build_square_set "
-               "check_universal_exhaustive first_solution first_unrepresentable "
-               "representable_two_term"),
-    ("solver", "Decomposition decompose decompose_pair_char2 decompose_pair_odd_char"),
+    ("oracle", "MAX_ORDER build_square_set check_universal_exhaustive first_solution "
+               "first_unrepresentable representable_two_term"),
+    ("solver", "Decomposition decompose"),
     ("universality", "NOT_UNIVERSAL UNDECIDED UNIVERSAL SingleTermExplanation UniversalityVerdict "
-                     "decide_universality f2x_counterexample f2x_necessary_condition"),
+                     "decide_universality f2x_counterexample"),
     ("integer_forms", "lee_criterion"),
-    ("universality", "nilpotent_witness single_term_witness"),
+    ("universality", "single_term_witness"),
 ]
 PUBLIC_NAMES = [(module, name) for module, names in PUBLIC for name in names.split()]
+# internals that left the top level; each stays in the submodule that defines it
+INTERNAL = [
+    ("oracle", "SquareSet"), ("oracle", "all_matrices"), ("solver", "decompose_pair_char2"),
+    ("solver", "decompose_pair_odd_char"), ("errors", "ZeroCoefficientError"),
+    ("fields", "is_prime"), ("universality", "f2x_necessary_condition"),
+]
 
 
 class TestPackageSurface:
@@ -293,6 +301,20 @@ class TestPackageSurface:
         exec("from m2forms import *", namespace)
         for name in m2forms.__all__:
             assert namespace[name] is getattr(m2forms, name)
+
+    def test_internals_stay_in_their_submodules(self):
+        assert len(PUBLIC_NAMES) == 34
+        for module, name in INTERNAL:
+            assert name not in m2forms.__all__, name
+            defined = getattr(importlib.import_module(f"m2forms.{module}"), name)
+            assert defined.__module__ == f"m2forms.{module}", name
+        assert not hasattr(importlib.import_module("m2forms.universality"), "nilpotent_witness")
+
+    def test_star_import_binds_no_internal(self):
+        namespace = {}
+        exec("from m2forms import *", namespace)
+        for name in [name for _, name in INTERNAL] + ["nilpotent_witness"]:
+            assert name not in namespace, name
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -18,11 +18,10 @@ from m2forms import (
     PrimeField,
     RationalFunctionField2,
     Rationals,
-    ZeroCoefficientError,
     decompose,
-    decompose_pair_char2,
-    decompose_pair_odd_char,
 )
+from m2forms.errors import ZeroCoefficientError
+from m2forms.solver import decompose_pair_char2, decompose_pair_odd_char
 
 Q = Rationals()
 GF2 = PrimeField(2)

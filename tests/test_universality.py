@@ -25,14 +25,13 @@ from m2forms import (
     decide_universality,
     decompose,
     f2x_counterexample,
-    f2x_necessary_condition,
     field_from_string,
     first_solution,
     first_unrepresentable,
     lee_criterion,
-    nilpotent_witness,
     single_term_witness,
 )
+from m2forms.universality import f2x_necessary_condition
 
 Q = Rationals()
 GF2 = PrimeField(2)
@@ -57,7 +56,7 @@ class TestDecide:
     def test_zero_form(self):
         verdict = decide_universality(DiagonalForm(GF2, [0, 0, 0]))
         assert verdict.status == NOT_UNIVERSAL
-        assert verdict.witness == nilpotent_witness(GF2)
+        assert verdict.witness == Mat2.nilpotent(GF2)
 
     def test_non_perfect_two_nonzero_is_undecided(self):
         verdict = decide_universality(DiagonalForm(F2X, [1, 1]))
@@ -210,7 +209,7 @@ class TestLeeCriterion:
 class TestSingleTermWitness:
     def test_confirmed_over_gf2(self):
         witness, explanation = single_term_witness(GF2(1))
-        assert witness == nilpotent_witness(GF2)
+        assert witness == Mat2.nilpotent(GF2)
         assert explanation.oracle_confirmed is True
         assert len(explanation.equations) == 4
 
@@ -220,13 +219,13 @@ class TestSingleTermWitness:
 
     def test_symbolic_only_over_rationals(self):
         witness, explanation = single_term_witness(Q(2))
-        assert witness == nilpotent_witness(Q)
+        assert witness == Mat2.nilpotent(Q)
         assert explanation.oracle_confirmed is None
         assert "0 = 1" in explanation.conclusion
 
     def test_zero_coefficient(self):
         witness, explanation = single_term_witness(GF2(0))
-        assert witness == nilpotent_witness(GF2)
+        assert witness == Mat2.nilpotent(GF2)
         assert explanation.oracle_confirmed is True
         assert "zero" in explanation.conclusion
 
