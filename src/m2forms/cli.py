@@ -113,8 +113,10 @@ def _parse_int_coeffs(text: str) -> list[int]:
     coeffs = []
     for pos, part in _coeff_parts(text):
         try:
-            # ASCII digits only: int() also takes '_' separators and other scripts' digits
-            coeffs.append(int(re.fullmatch("[+-]?[0-9]+", part.strip())[0]))
+            # ASCII digits only: int() also takes '_' separators and other scripts' digits;
+            # whitespace may stand between the sign and the digits, as in the field readers
+            match = re.fullmatch(r"([+-]?)\s*([0-9]+)", part.strip())
+            coeffs.append(int(match[1] + match[2]))
         except (TypeError, ValueError):  # no match, or more digits than int() converts
             raise ParseError("expected an integer coefficient", text, pos) from None
     return coeffs

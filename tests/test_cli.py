@@ -241,6 +241,14 @@ class TestUniversalZ:
         code, _, err = run(capsys, "universal-z", "--coeffs", "1,x")
         assert code == 3
 
+    def test_sign_apart_from_its_digits(self, capsys):
+        # the token rule of the Q and GF(p) readers: '- 3' is -3, '1 2' is no integer
+        assert run(capsys, "universal-z", "--coeffs", "1,1,- 3")[:2] == (0, "Universal\n")
+        assert run(capsys, "universal-z", "--coeffs", "+ 2,-\t2")[:2] == (2, "NotUniversal\n")
+        code, out, err = run(capsys, "universal-z", "--coeffs", "1,1 2,1")
+        assert (code, out) == (3, "")
+        assert err == "error: expected an integer coefficient (at position 2 in '1,1 2,1')\n"
+
 
 class TestAsciiDigits:
     """Only ASCII 0-9 are digits: '_' separators, superscripts and other

@@ -1,7 +1,9 @@
 """Brute-force oracle: square sets, witnesses, sweeps, bounds, determinism."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -126,9 +128,33 @@ class TestSquareSet:
                 return hook(x, y)
 
             monkeypatch.setattr(GF9, name, counted)  # GF9 is interned: undone at teardown
+        m2forms.oracle._TABLES.pop(GF9, None)  # the first build makes the field's tables
         squares = build_square_set(GF9, t)
         assert len(squares.members) == 2381
         assert 0 < calls["_add"] <= 9 * 9 and 0 < calls["_mul"] <= 9 * 9, calls
+        calls.update(_add=0, _mul=0)  # a second build reuses them
+        again = build_square_set(GF9, 1)
+        assert calls == {"_add": 0, "_mul": 0}
+        assert again._first == reference_first(GF9, 1)
+
+    # in characteristic 2 every X of nonzero trace gives a square of its own
+    @pytest.mark.parametrize(
+        "field, which", [(GF2, "all"), (GF4, "all"), (GF8, "all"), (GF16, "1,last")],
+        ids=["GF2", "GF4", "GF8", "GF16"],
+    )
+    def test_char2_size_is_q4_minus_q3_plus_q(self, field, which):
+        elems, q = list(field.elements()), field.order
+        for a in [a for a in elems if a] if which == "all" else [field(1), elems[-1]]:
+            assert len(build_square_set(field, a).members) == q**4 - q**3 + q, a
+
+    def test_tables_keep_no_field_alive(self):
+        field = ExtensionField(3, 2, "t^2+2*t+2")
+        ref = weakref.ref(field)
+        assert len(build_square_set(field, 1).members) == 2381
+        assert field in m2forms.oracle._TABLES
+        del field
+        gc.collect()
+        assert ref() is None
 
 
 class TestRepresentableTwoTerm:
@@ -291,38 +317,54 @@ class TestSkipRules:
         for a1, a2 in itertools.product(list(field.elements()), repeat=2):
             assert check_universal_exhaustive(a1, a2, field) == reference_sweep(a1, a2, field), (a1, a2)
 
-    # the parent's full walk made at least 7,852, 34,588 and 106,592 calls
+    # the sweep reads classes off Cayley-Hamilton and walks X2 on the
+    # field's tables: it makes no square set and no subtraction, and the
+    # hooks are called only to build the tables
     @pytest.mark.parametrize("field", [GF5, GF7, GF9], ids=["GF5", "GF7", "GF9"])
-    def test_universal_sweep_calls_sub_fewer_than_q4_times(self, monkeypatch, field):
-        calls = []
+    def test_sweep_builds_no_square_set(self, monkeypatch, field):
+        def refused(*args):
+            raise AssertionError("the sweep built a square set")
 
-        def counted(x, y, hook=field._sub):
-            calls.append(None)
-            return hook(x, y)
+        monkeypatch.setattr(m2forms.oracle, "build_square_set", refused)
+        calls = {"_add": 0, "_mul": 0, "_neg": 0, "_sub": 0}
+        for name in calls:
+            def counted(*args, name=name, hook=getattr(field, name)):
+                calls[name] += 1
+                return hook(*args)
 
-        monkeypatch.setattr(field, "_sub", counted)  # fields are interned: undone at teardown
-        for a2 in (field(1), list(field.elements())[-1]):
-            calls.clear()
+            monkeypatch.setattr(field, name, counted)  # fields are interned: undone at teardown
+        m2forms.oracle._TABLES.pop(field, None)
+        last = list(field.elements())[-1]
+        for a2 in (field(1), last):
             assert check_universal_exhaustive(1, a2, field) == (True, None)
-            assert 0 < len(calls) < field.order**4, (a2, len(calls))
+            assert check_universal_exhaustive(a2, 0, field)[0] is False
+        q = field.order
+        assert calls.pop("_sub") == 0
+        assert all(0 < n <= q * q for n in calls.values()), calls
 
     def test_missed_scalar_class_is_reported(self, monkeypatch):
         # No real form misses a scalar and nothing earlier (a nonzero
-        # term's trace-0 squares give every scalar), so a set closed under
-        # similarity that lacks the nonzero scalars stands in for a2's.
-        def stand_in(field, coeff):
-            if not field(coeff):
-                zero = (field.zero().payload,) * 4
-                return SquareSet(field, field(coeff), {zero: zero})
-            payloads = [e.payload for e in field.elements()]
-            members = [
-                m for m in itertools.product(payloads, repeat=4)
-                if not (m[1] == m[2] == 0 and m[0] == m[3] != 0)
-            ]
-            return SquareSet(field, field(coeff), dict(zip(members, members)))
+        # term's trace-0 squares give every scalar), so a class set that
+        # lacks the nonzero scalars stands in for a2's.
+        def stand_in(tables, k, zero):
+            return {(zero,)} | set(itertools.product(tables.payloads, repeat=2))
 
-        monkeypatch.setattr(m2forms.oracle, "build_square_set", stand_in)
+        monkeypatch.setattr(m2forms.oracle, "_square_classes", stand_in)
         assert check_universal_exhaustive(1, 0, GF3) == (False, Mat2.identity(GF3))
+
+    # the closed form against the classes of every square set, q <= 9
+    @pytest.mark.parametrize("field", FIELDS[:7], ids=FIELD_IDS[:7])
+    def test_square_classes_match_square_sets(self, field):
+        tables, zero = m2forms.oracle._tables(field), field.zero().payload
+
+        def similarity_class(m11, m12, m21, m22):  # on the field's own hooks
+            if m12 == m21 == zero and m11 == m22:
+                return (m11,)
+            return field._add(m11, m22), field._sub(field._mul(m11, m22), field._mul(m12, m21))
+
+        for a in field.elements():
+            expected = {similarity_class(*v) for v in build_square_set(field, a).members}
+            assert m2forms.oracle._square_classes(tables, a.payload, zero) == expected, a
 
 
 class TestPayloadKeys:
