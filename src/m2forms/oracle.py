@@ -13,8 +13,10 @@ residual.  A square set enumerates the entries' payloads in order,
 squares them by table lookups and keys its members by payload
 4-tuples.  It skips each X whose square an earlier X already gave: X
 after -X, and, once every scalar is in, each X of trace 0, whose square
-is the scalar -det(X) * I.  The X1 scan of a query stays on ``Mat2`` and
-forms a1 * X1**2 as ``X1.square(a1)``.
+is the scalar -det(X) * I.  The X1 scan of a query walks the same X
+(``_scan``): a skipped X1 leaves the residual of an earlier X1 that
+missed, so the first hit is never skipped.  Each X1 it walks becomes a
+``Mat2`` and forms a1 * X1**2 as ``X1.square(a1)``.
 
 A sweep builds no square set.  It tests one target per similarity class
 (conjugating a solution gives a solution), reads the classes one term
@@ -28,7 +30,8 @@ two-term query (CLI, single-term explanation) over fields of order at
 most ``MAX_ORDER``, the one bound of every enumeration, checked where
 the tables are made.  A one-term form a is the two-term form a, 0.  A
 zero term is the zero matrix, so it goes first and X1 = 0 alone is
-tried: one lookup.
+tried: the target's class is looked up in the other term's classes, and
+only a hit builds that term's square set for its first X.
 """
 
 from __future__ import annotations
@@ -54,13 +57,17 @@ def check_term_count(coeffs) -> None:
 
 
 def all_matrices(field: Field):
-    """All q**4 matrices, lexicographic by (e11, e12, e21, e22)."""
+    """All q**4 matrices, lexicographic by (e11, e12, e21, e22).
+
+    No enumeration here walks it: it is the reference order that the
+    tests hold the payload walks to.
+    """
     elems = list(field.elements())
     for entries in itertools.product(elems, repeat=4):
         yield Mat2(*entries)
 
 
-_Tables = namedtuple("_Tables", "payloads add mul neg unsigned")
+_Tables = namedtuple("_Tables", "payloads add mul neg unsigned trace_nonzero")
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # field -> its _Tables
 
 
@@ -69,8 +76,9 @@ def _tables(field: Field) -> _Tables:
 
     ``payloads`` in element order, the q x q ``add[x][y]`` and
     ``mul[x][y]`` (each calls the field's hook once per payload pair, so
-    no payload order is assumed), ``neg[x]``, and rule (1)'s
-    ``unsigned``: the payloads whose negative is not earlier.  They hold
+    no payload order is assumed), ``neg[x]``, rule (1)'s ``unsigned``:
+    the payloads whose negative is not earlier, and rule (2)'s
+    ``trace_nonzero[a]``: the payloads d with a + d != 0.  They hold
     payloads only, so they keep no field alive (a ``SquareSet`` keeps its
     own payload -> element map for that reason).  Every enumeration
     takes its tables here, so this is where the oracle checks its field.
@@ -88,7 +96,9 @@ def _tables(field: Field) -> _Tables:
     neg = {x: field._neg(x) for x in payloads}
     index = {x: i for i, x in enumerate(payloads)}
     unsigned = [x for x in payloads if index[neg[x]] >= index[x]]
-    tables = _TABLES[field] = _Tables(payloads, add, mul, neg, unsigned)
+    zero = field.zero().payload
+    trace_nonzero = {a: [d for d in payloads if add[a][d] != zero] for a in payloads}
+    tables = _TABLES[field] = _Tables(payloads, add, mul, neg, unsigned, trace_nonzero)
     return tables
 
 
@@ -169,6 +179,39 @@ def build_square_set(field: Field, coeff) -> SquareSet:
     return SquareSet(field, coeff, first)
 
 
+def _scan(tables: _Tables, zero):
+    """X as payload 4-tuples in ``all_matrices`` order, less the X that
+    ``build_square_set``'s rules (1) and (2) skip.
+
+    Each skipped X has the square of an earlier X that is kept, so the
+    walk forms every square that the full enumeration forms, each first
+    at the same X.
+    """
+    payloads, unsigned, trace_nonzero = tables.payloads, tables.unsigned, tables.trace_nonzero
+    scalars_in = False  # rule (2): every scalar square is in, so skip X with a + d = 0
+    for a in unsigned:  # rule (1): -a not earlier
+        for b in (payloads if a != zero else unsigned):
+            every_d = trace_nonzero[a] if scalars_in else payloads
+            for c in (payloads if a != zero or b != zero else unsigned):
+                for d in every_d:
+                    yield a, b, c, d
+            if a == zero and b != zero:  # d = 0 gave every b*c*I
+                scalars_in = True
+
+
+def _class_of(tables: _Tables, zero):
+    """The function that keys the similarity class of a payload 4-tuple:
+    (s,) for s*I, else (trace, det)."""
+    add, mul, neg = tables.add, tables.mul, tables.neg
+
+    def similarity_class(m11, m12, m21, m22):
+        if m12 == m21 == zero and m11 == m22:
+            return (m11,)
+        return add[m11][m22], add[mul[m11][m22]][neg[mul[m12][m21]]]
+
+    return similarity_class
+
+
 def _square_classes(tables: _Tables, k, zero) -> set:
     """The similarity classes that k*X**2 hits, read off Cayley-Hamilton.
 
@@ -176,7 +219,7 @@ def _square_classes(tables: _Tables, k, zero) -> set:
     the trace-0 X give every scalar -k*d*I, and the X with t != 0 give
     the non-scalar classes (k*(t^2 - 2d), k^2*d^2); a scalar X gives a
     scalar.  For k = 0 only the zero class is hit.  Classes are keyed
-    as in the sweep: (s,) for s*I, else (trace, det).
+    as ``_class_of`` keys them: (s,) for s*I, else (trace, det).
     """
     if k == zero:
         return {(zero,)}
@@ -192,11 +235,11 @@ def _square_classes(tables: _Tables, k, zero) -> set:
     return classes
 
 
-def _scaled_squares(tables: _Tables, k):
-    """k*X**2 as a payload 4-tuple for each X, in ``all_matrices`` order."""
+def _scaled_squares(tables: _Tables, k, zero):
+    """k*X**2 as a payload 4-tuple for each X that ``_scan`` walks."""
     add, mul = tables.add, tables.mul
     times_k = mul[k]
-    for a, b, c, d in itertools.product(tables.payloads, repeat=4):
+    for a, b, c, d in _scan(tables, zero):
         bc, s = mul[b][c], add[a][d]
         yield times_k[add[mul[a][a]][bc]], times_k[mul[b][s]], times_k[mul[c][s]], times_k[add[mul[d][d]][bc]]
 
@@ -206,24 +249,32 @@ def representable_two_term(
 ) -> tuple[Mat2, Mat2] | None:
     """First (X1, X2) with a1*X1**2 + a2*X2**2 == target, else None.
 
-    Scans X1 in enumeration order and looks the residual's payload key
-    up in the square set of a2 (reused across calls when passed in and
-    over this field).  A zero term goes first, and then X1 = 0 alone.
+    Walks X1 in enumeration order, less the X1 whose square an earlier
+    X1 gave (``_scan``), and looks the residual's payload key up in the
+    square set of a2 (reused across calls when passed in and over this
+    field).  A zero term goes first, and then X1 = 0 alone: with no set
+    passed in, a target outside a2's classes is a miss with no set built.
     """
     a1, a2 = field(a1), field(a2)
     if a1 and not a2:
         found = representable_two_term(a2, a1, target, field)
         return None if found is None else found[::-1]
+    tables, zero = _tables(field), field.zero().payload
+    # with a1 = 0 every X1 leaves the target itself as the residual
+    key = None if a1 else tuple(field(e).payload for e in target.entries())
     if square_set is None or square_set.field != field or square_set.coeff != a2:
+        if key is not None and _class_of(tables, zero)(*key) not in _square_classes(tables, a2.payload, zero):
+            return None
         square_set = build_square_set(field, a2)
-    first = square_set._first
-    if not a1:  # every X1 leaves the target itself as the residual
-        x2 = first.get(tuple(field(e).payload for e in target.entries()))
-        return None if x2 is None else (Mat2.zero(field), square_set._matrix(x2))
-    for x1 in all_matrices(field):
+    first, matrix = square_set._first, square_set._matrix
+    if key is not None:
+        x2 = first.get(key)
+        return None if x2 is None else (Mat2.zero(field), matrix(x2))
+    for x in _scan(tables, zero):
+        x1 = matrix(x)
         x2 = first.get(_payloads(target - x1.square(a1)))
         if x2 is not None:
-            return x1, square_set._matrix(x2)
+            return x1, matrix(x2)
     return None
 
 
@@ -240,8 +291,8 @@ def check_universal_exhaustive(a1, a2, field: Field) -> tuple[bool, Mat2 | None]
 
     No square set is built: the classes that a1*X1**2 hits are read off
     Cayley-Hamilton (``_square_classes``), and a representative R is hit
-    when some X2, walked in ``all_matrices`` order on the field's
-    tables, puts R - a2*X2**2 in one of them.  A zero term goes first;
+    when some X2, walked by ``_scan`` on the field's tables, puts
+    R - a2*X2**2 in one of them.  A zero term goes first;
     then every X1 gives 0, so the hit classes are a2's, with no walk.
     When a class is missed, the targets run over payload 4-tuples in
     ``all_matrices`` order to the first of a missed class.
@@ -249,14 +300,10 @@ def check_universal_exhaustive(a1, a2, field: Field) -> tuple[bool, Mat2 | None]
     if not field(a2):
         a1, a2 = a2, a1
     tables = _tables(field)
-    payloads, add, mul, neg = tables.payloads, tables.add, tables.mul, tables.neg
+    payloads, add, neg = tables.payloads, tables.add, tables.neg
     zero, one = field.zero().payload, field.one().payload
     k1, k2 = field(a1).payload, field(a2).payload
-
-    def similarity_class(m11, m12, m21, m22):  # (s,) for s*I, else (trace, det)
-        if m12 == m21 == zero and m11 == m22:
-            return (m11,)
-        return add[m11][m22], add[mul[m11][m22]][neg[mul[m12][m21]]]
+    similarity_class = _class_of(tables, zero)
 
     representatives = {(s,): (s, zero, zero, s) for s in payloads}
     representatives.update({(t, d): (zero, neg[d], one, t) for t in payloads for d in payloads})
@@ -265,7 +312,7 @@ def check_universal_exhaustive(a1, a2, field: Field) -> tuple[bool, Mat2 | None]
         missed = representatives.keys() - hit
     else:
         hit = _square_classes(tables, k1, zero)
-        squares, rest = [], _scaled_squares(tables, neg[k2])
+        squares, rest = [], _scaled_squares(tables, neg[k2], zero)
 
         def walk():  # -a2*X2**2 in X2 order, each formed once across representatives
             yield from squares

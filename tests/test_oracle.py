@@ -1,5 +1,6 @@
 """Brute-force oracle: square sets, witnesses, sweeps, bounds, determinism."""
 
+import functools
 import gc
 import itertools
 import random
@@ -26,6 +27,7 @@ from m2forms import (
     first_unrepresentable,
     representable_two_term,
 )
+from m2forms.matrices import _payloads
 from m2forms.oracle import SquareSet, all_matrices
 
 Q = Rationals()
@@ -303,6 +305,27 @@ def reference_sweep(a1, a2, field):
     return True, None
 
 
+@functools.lru_cache(maxsize=2)  # queries come grouped by pair; a GF(16) map holds 61,456 members
+def cached_first(field, coeff):
+    return reference_first(field, coeff)
+
+
+def reference_query(a1, a2, target, field):
+    """representable_two_term as a ``Mat2`` scan of every X1 in
+    ``all_matrices`` order, as a reference: a zero term goes first, and
+    then X1 = 0 alone."""
+    a1, a2 = field(a1), field(a2)
+    if a1 and not a2:
+        found = reference_query(a2, a1, target, field)
+        return None if found is None else found[::-1]
+    first, element = cached_first(field, a2), {e.payload: e for e in field.elements()}
+    for x1 in all_matrices(field) if a1 else [Mat2.zero(field)]:
+        x2 = first.get(_payloads(target - x1.square(a1)))
+        if x2 is not None:
+            return x1, Mat2(*map(element.__getitem__, x2))
+    return None
+
+
 class TestSkipRules:
     """Square sets skip repeated squares; sweeps test one target per class."""
 
@@ -367,6 +390,67 @@ class TestSkipRules:
             assert m2forms.oracle._square_classes(tables, a.payload, zero) == expected, a
 
 
+class TestQueryScan:
+    """A query's X1 scan skips each X1 whose square an earlier X1 gave."""
+
+    @pytest.mark.parametrize("field", FIELDS[:4], ids=FIELD_IDS[:4])
+    def test_every_query_matches_reference(self, field):
+        elems = list(field.elements())
+        for a1, a2 in itertools.product(elems, repeat=2):
+            for target in all_matrices(field):
+                expected = reference_query(a1, a2, target, field)
+                assert representable_two_term(a1, a2, target, field) == expected, (a1, a2, target)
+
+    # seeded pairs, zeros included, and seeded targets with 0, I and the nilpotent
+    @pytest.mark.parametrize("field", FIELDS[4:], ids=FIELD_IDS[4:])
+    def test_sampled_queries_match_reference(self, field):
+        rng, elems = random.Random(39), list(field.elements())
+        nonzero = elems[1:]
+        pairs = [(0, 0), (0, rng.choice(nonzero)), (rng.choice(nonzero), 0)]
+        pairs += [(rng.choice(nonzero), rng.choice(nonzero)) for _ in range(3)]
+        fixed = [Mat2.zero(field), Mat2.identity(field), Mat2.nilpotent(field)]
+        for a1, a2 in pairs:
+            squares = build_square_set(field, a2)
+            drawn = [Mat2(*(rng.choice(elems) for _ in range(4))) for _ in range(6)]
+            for target in fixed + drawn:
+                expected = reference_query(a1, a2, target, field)
+                assert representable_two_term(a1, a2, target, field) == expected, (a1, a2, target)
+                found = representable_two_term(a1, a2, target, field, square_set=squares)
+                assert found == expected, (a1, a2, target)
+
+    @pytest.mark.parametrize("field", FIELDS[:7], ids=FIELD_IDS[:7])
+    def test_each_skipped_x_squares_as_an_earlier_kept_x(self, field):
+        tables, zero = m2forms.oracle._tables(field), field.zero().payload
+        walked, element = list(m2forms.oracle._scan(tables, zero)), {e.payload: e for e in field.elements()}
+        order, kept, seen = list(itertools.product(tables.payloads, repeat=4)), set(walked), set()
+        assert walked == [x for x in order if x in kept]  # a subsequence of all_matrices order
+        for x in order:
+            square = Mat2(*map(element.__getitem__, x)).square()
+            if x in kept:
+                seen.add(square)
+            else:
+                assert square in seen, x
+
+    # the deepest first X1 of the benchmark's seed-1 queries: the 59th
+    # X1 in enumeration order, the 38th that the scan walks
+    def test_deep_witness_takes_fewer_squares(self, square_calls):
+        target = Mat2.parse(GF7, "[[3,0],[0,5]]")
+        squares = build_square_set(GF7, 4)
+        x1, x2 = representable_two_term(6, 4, target, GF7, square_set=squares)
+        assert (str(x1), str(x2)) == ("[[0,1],[1,2]]", "[[2,5],[5,3]]")
+        assert len(square_calls) < 59, len(square_calls)  # 38 walked
+
+    def test_one_term_miss_builds_no_square_set(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a miss built a square set")
+
+        monkeypatch.setattr(m2forms.oracle, "build_square_set", refused)
+        t, nilpotent = GF16.parse("t"), Mat2.nilpotent(GF16)
+        for coeffs in ([1], [t], [t, 0], [0, t]):
+            assert first_solution(coeffs, nilpotent, GF16) is None, coeffs
+        assert first_solution([0], Mat2.identity(GF16), GF16) is None
+
+
 class TestPayloadKeys:
     """Square sets are keyed by payload 4-tuples, which repeat across fields."""
 
@@ -409,9 +493,9 @@ def square_calls(monkeypatch):
     calls = []
     square = Mat2.square
 
-    def counted(self):
+    def counted(self, *coeff):
         calls.append(self)
-        return square(self)
+        return square(self, *coeff)
 
     monkeypatch.setattr(Mat2, "square", counted)
     return calls

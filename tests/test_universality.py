@@ -1,6 +1,5 @@
 """Universality verdicts, the integer-matrix criterion, and the GF(2)(x) counterexample."""
 
-import functools
 import itertools
 import math
 import random
@@ -8,7 +7,6 @@ import time
 
 import pytest
 
-import m2forms.oracle
 from m2forms import (
     NOT_UNIVERSAL,
     UNDECIDED,
@@ -106,11 +104,7 @@ class TestTheoremAgainstOracle:
         "desc",
         ["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)", "GF(11)", "GF(13)", "GF(16)"],
     )
-    def test_universal_exactly_when_the_sweep_misses_nothing(self, desc, monkeypatch):
-        # a form's two first_solution checks build the same square set;
-        # keep the last one (a GF(16) build takes about 25 ms)
-        build = functools.lru_cache(maxsize=1)(m2forms.oracle.build_square_set)
-        monkeypatch.setattr(m2forms.oracle, "build_square_set", build)
+    def test_universal_exactly_when_the_sweep_misses_nothing(self, desc):
         field = field_from_string(desc)
         elems = list(field.elements())
         if field.order <= 5:
