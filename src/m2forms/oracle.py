@@ -8,12 +8,10 @@ Every enumeration runs on one set of payload tables per field (q x q
 sums and products, negatives), built on first use from the field's
 hooks and kept while the field lives.
 
-A two-term query precomputes one term's square set and looks up the
-residual.  A square set enumerates the entries' payloads in order,
-squares them by table lookups and keys its members by payload
-4-tuples.  It skips each X whose square an earlier X already gave: X
-after -X, and, once every scalar is in, each X of trace 0, whose square
-is the scalar -det(X) * I.  The X1 scan of a query walks the same X
+A two-term query walks X1 and looks the residual up in the other term's
+square set, which holds no members: it solves k*X**2 == S for the
+first X in closed form (``_first_root``).  The X1 scan walks X in
+enumeration order, less each X whose square an earlier X gave
 (``_scan``): a skipped X1 leaves the residual of an earlier X1 that
 missed, so the first hit is never skipped.  Each X1 it walks becomes a
 ``Mat2`` and forms a1 * X1**2 as ``X1.square(a1)``.
@@ -30,8 +28,7 @@ two-term query (CLI, single-term explanation) over fields of order at
 most ``MAX_ORDER``, the one bound of every enumeration, checked where
 the tables are made.  A one-term form a is the two-term form a, 0.  A
 zero term is the zero matrix, so it goes first and X1 = 0 alone is
-tried: the target's class is looked up in the other term's classes, and
-only a hit builds that term's square set for its first X.
+tried: one closed-form lookup, with nothing enumerated.
 """
 
 from __future__ import annotations
@@ -67,21 +64,22 @@ def all_matrices(field: Field):
         yield Mat2(*entries)
 
 
-_Tables = namedtuple("_Tables", "payloads add mul neg unsigned trace_nonzero")
+_Tables = namedtuple("_Tables", "payloads add mul neg unsigned trace_nonzero roots inv index")
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # field -> its _Tables
 
 
 def _tables(field: Field) -> _Tables:
     """The field's payload tables, built on first use and kept per field.
 
-    ``payloads`` in element order, the q x q ``add[x][y]`` and
-    ``mul[x][y]`` (each calls the field's hook once per payload pair, so
-    no payload order is assumed), ``neg[x]``, rule (1)'s ``unsigned``:
-    the payloads whose negative is not earlier, and rule (2)'s
-    ``trace_nonzero[a]``: the payloads d with a + d != 0.  They hold
-    payloads only, so they keep no field alive (a ``SquareSet`` keeps its
-    own payload -> element map for that reason).  Every enumeration
-    takes its tables here, so this is where the oracle checks its field.
+    ``payloads`` in element order and ``index[x]``, x's place in it; the
+    q x q ``add[x][y]`` and ``mul[x][y]`` (each calls the field's hook
+    once per payload pair, so no payload order is assumed), ``neg[x]``
+    and, read off these, ``inv[x]`` for x != 0, ``roots[x]``: the y with
+    y*y = x in element order, and ``_scan``'s rule (1) ``unsigned`` (the
+    x whose negative is not earlier) and rule (2) ``trace_nonzero[a]``
+    (the d with a + d != 0).  They hold payloads only, so they keep no
+    field alive.  Every enumeration takes its tables here, so this is
+    where the oracle checks its field.
     """
     tables = _TABLES.get(field)
     if tables is not None:
@@ -96,26 +94,72 @@ def _tables(field: Field) -> _Tables:
     neg = {x: field._neg(x) for x in payloads}
     index = {x: i for i, x in enumerate(payloads)}
     unsigned = [x for x in payloads if index[neg[x]] >= index[x]]
-    zero = field.zero().payload
+    zero, one = field.zero().payload, field.one().payload
     trace_nonzero = {a: [d for d in payloads if add[a][d] != zero] for a in payloads}
-    tables = _TABLES[field] = _Tables(payloads, add, mul, neg, unsigned, trace_nonzero)
+    roots = {x: [] for x in payloads}
+    for y in payloads:
+        roots[mul[y][y]].append(y)
+    inv = {x: y for x in payloads for y in payloads if mul[x][y] == one}
+    tables = _TABLES[field] = _Tables(payloads, add, mul, neg, unsigned, trace_nonzero, roots, inv, index)
     return tables
+
+
+def _first_root(tables: _Tables, k, zero):
+    """The function from the payload 4-tuple of S to that of the first X
+    in ``all_matrices`` order with k*X**2 == S, or to None, in closed form.
+
+    0 is the first root of 0, and with a = 0 and b = 0 no X squares to a
+    nonzero scalar, so S = k*s*I, s != 0, has first root
+    [[0, e1], [s/e1, 0]] (e1 the second element; b = e1 forces d = 0).
+    A non-scalar X**2 = t*X - n*I (trace t, determinant n) needs t != 0,
+    so X = (S + D*I)/u with D = k*n and u = k*t, where D**2 = det S and
+    u**2 = k*(tr S + 2D).  That leaves at most one root in characteristic
+    2, where squaring is one to one, and four in odd characteristic; the
+    first by element indices is taken.
+    """
+    zeros = (zero,) * 4
+    if k == zero:
+        return lambda *s: zeros if s == zeros else None
+    add, mul, neg, roots, inv, index = tables.add, tables.mul, tables.neg, tables.roots, tables.inv, tables.index
+    e1 = tables.payloads[1]
+    times_k, over_ke1 = mul[k], mul[inv[mul[k][e1]]]
+
+    def first_x(s11, s12, s21, s22):
+        dets = roots[add[mul[s11][s22]][neg[mul[s12][s21]]]]  # the D; most misses have none
+        if not dets:
+            return None
+        if s12 == zero == s21 and s11 == s22:
+            return (zero, e1, over_ke1[s11], zero) if s11 != zero else zeros
+        plus_trace, found = add[add[s11][s22]], []
+        for d in dets:
+            u2 = times_k[plus_trace[add[d][d]]]
+            if u2 != zero:
+                for u in roots[u2]:
+                    over_u = mul[inv[u]]
+                    found.append((over_u[add[s11][d]], over_u[s12], over_u[s21], over_u[add[s22][d]]))
+        if len(found) > 1:
+            return min(found, key=lambda x: (index[x[0]], index[x[1]], index[x[2]], index[x[3]]))
+        return found[0] if found else None
+
+    return first_x
 
 
 class SquareSet:
     """The image set {coeff * X**2} over all 2x2 matrices of a finite field.
 
-    ``first`` maps the payload 4-tuple of each member to the payload
-    4-tuple of its first X (in enumeration order); ``members`` is its
-    keys, and the field's canonical elements rebuild matrices from
-    payloads.  Membership looks up the payload key of a ``Mat2`` over
-    the set's own field.
+    It holds no members: ``_first_x`` maps the payload 4-tuple of S to
+    that of S's first root X (``_first_root``), ``_matrix`` rebuilds a
+    matrix from the field's canonical elements, and a ``Mat2`` over the
+    set's own field is in when it has a root.  ``members`` walks
+    ``_scan`` on access, each member in the order of its first X.
     """
 
-    __slots__ = ("field", "coeff", "_first", "_element")
+    __slots__ = ("field", "coeff", "_first_x", "_element")
 
-    def __init__(self, field: Field, coeff: FieldElement, first: dict[tuple, tuple]):
-        self.field, self.coeff, self._first = field, coeff, first
+    def __init__(self, field: Field, coeff):
+        tables = _tables(field)
+        self.field, self.coeff = field, field(coeff)
+        self._first_x = _first_root(tables, self.coeff.payload, field.zero().payload)
         self._element = {e.payload: e for e in field.elements()}
 
     def _matrix(self, payloads) -> Mat2:
@@ -123,69 +167,33 @@ class SquareSet:
 
     @property
     def members(self):
-        return self._first.keys()
+        squares = _scaled_squares(_tables(self.field), self.coeff.payload, self.field.zero().payload)
+        return dict.fromkeys(squares).keys()
 
     def __contains__(self, matrix) -> bool:
-        return isinstance(matrix, Mat2) and matrix.field == self.field and _payloads(matrix) in self._first
+        return (isinstance(matrix, Mat2) and matrix.field == self.field
+                and self._first_x(*_payloads(matrix)) is not None)
 
 
 def build_square_set(field: Field, coeff) -> SquareSet:
-    """Enumerate {coeff * X**2 : X in M2(field)} for a field of order <= 16.
-
-    X = [[a,b],[c,d]] runs over payload 4-tuples in ``all_matrices``
-    order, and k*X**2 = [[k(a^2+bc), kb(a+d)], [kc(a+d), k(d^2+bc)]]
-    is read from the field's q x q tables (``_tables``).  The rows fixed
-    by a, b and c are taken out of the inner loops, so the loop over d
-    only looks entries up.  A new square's payload 4-tuple stores its
-    first X's; no ``Mat2`` is made.
-
-    Two rules skip an X whose square an earlier X gave, which
-    ``setdefault`` would ignore, so the members and their order are
-    those of the full enumeration.  (1) An (a, b, c) prefix is skipped
-    when its first nonzero entry e has -e earlier in element order:
-    -X has the same square and comes first.  (2) Once the first row with
-    a = 0 and b != 0 has put in every scalar k*b*c*I (at d = 0), each X
-    with a + d = 0 is skipped: by Cayley-Hamilton its square is
-    -det(X) * I.  In characteristic 2, -X = X, so rule (1) skips
-    nothing, and no rule could skip more: there e22 - e11 = k*(a+d)**2,
-    so on trace a + d != 0 the trace is fixed by the square, then b and
-    c by e12 and e21, and then a by e11.  Every X of nonzero trace gives
-    a square of its own, and the set has q**4 - q**3 + q members.
-    """
-    tables = _tables(field)
-    coeff = field(coeff)
-    zero = field.zero().payload
-    if not coeff:  # 0 * X**2 == 0, first reached at the zero matrix
-        return SquareSet(field, coeff, {(zero,) * 4: (zero,) * 4})
-    payloads, add, mul, unsigned = tables.payloads, tables.add, tables.mul, tables.unsigned
-    times_k = mul[coeff.payload]
-    k_squares = [times_k[mul[d][d]] for d in payloads]  # k*d^2 for each d
-    scalars_in = False  # rule (2): every k*s*I is in, so skip X with a + d = 0
-    first: dict[tuple, tuple] = {}  # payload 4-tuple of k*X^2 -> that of the first X
-    setdefault = first.setdefault
-    for a in unsigned:  # rule (1): -a not earlier
-        plus_a, plus_ka2 = add[a], add[times_k[mul[a][a]]]
-        every_d = [(d, kd2, plus_a[d]) for d, kd2 in zip(payloads, k_squares)]  # (d, k*d^2, a+d)
-        trace_nonzero = [row for row in every_d if row[2] != zero]
-        for b in (payloads if a != zero else unsigned):
-            times_kb, d_rows = mul[times_k[b]], trace_nonzero if scalars_in else every_d
-            for c in (payloads if a != zero or b != zero else unsigned):
-                times_kc, kbc = mul[times_k[c]], times_kb[c]
-                plus_kbc, e11 = add[kbc], plus_ka2[kbc]
-                for d, kd2, s in d_rows:
-                    setdefault((e11, times_kb[s], times_kc[s], plus_kbc[kd2]), (a, b, c, d))
-            if a == zero and b != zero:  # d = 0 gave every k*b*c*I
-                scalars_in = True
-    return SquareSet(field, coeff, first)
+    """The square set {coeff * X**2} of a field of order <= 16: no
+    member is enumerated, each lookup solves for its first root."""
+    return SquareSet(field, coeff)
 
 
 def _scan(tables: _Tables, zero):
-    """X as payload 4-tuples in ``all_matrices`` order, less the X that
-    ``build_square_set``'s rules (1) and (2) skip.
+    """X as payload 4-tuples in ``all_matrices`` order, less the X whose
+    square an earlier X gave.
 
+    Two rules skip them.  (1) An (a, b, c) prefix is skipped when its
+    first nonzero entry e has -e earlier in element order: -X has the
+    same square and comes first.  (2) Once the first row with a = 0 and
+    b != 0 has put in every scalar b*c*I (at d = 0), each X with
+    a + d = 0 is skipped: by Cayley-Hamilton its square is -det(X) * I.
     Each skipped X has the square of an earlier X that is kept, so the
-    walk forms every square that the full enumeration forms, each first
-    at the same X.
+    walk forms every square of the full enumeration, each first at the
+    same X.  In characteristic 2, -X = X and no rule could skip more:
+    each X of nonzero trace has a square of its own (``_first_root``).
     """
     payloads, unsigned, trace_nonzero = tables.payloads, tables.unsigned, tables.trace_nonzero
     scalars_in = False  # rule (2): every scalar square is in, so skip X with a + d = 0
@@ -199,19 +207,6 @@ def _scan(tables: _Tables, zero):
                 scalars_in = True
 
 
-def _class_of(tables: _Tables, zero):
-    """The function that keys the similarity class of a payload 4-tuple:
-    (s,) for s*I, else (trace, det)."""
-    add, mul, neg = tables.add, tables.mul, tables.neg
-
-    def similarity_class(m11, m12, m21, m22):
-        if m12 == m21 == zero and m11 == m22:
-            return (m11,)
-        return add[m11][m22], add[mul[m11][m22]][neg[mul[m12][m21]]]
-
-    return similarity_class
-
-
 def _square_classes(tables: _Tables, k, zero) -> set:
     """The similarity classes that k*X**2 hits, read off Cayley-Hamilton.
 
@@ -219,7 +214,7 @@ def _square_classes(tables: _Tables, k, zero) -> set:
     the trace-0 X give every scalar -k*d*I, and the X with t != 0 give
     the non-scalar classes (k*(t^2 - 2d), k^2*d^2); a scalar X gives a
     scalar.  For k = 0 only the zero class is hit.  Classes are keyed
-    as ``_class_of`` keys them: (s,) for s*I, else (trace, det).
+    (s,) for s*I, else (trace, det).
     """
     if k == zero:
         return {(zero,)}
@@ -250,29 +245,27 @@ def representable_two_term(
     """First (X1, X2) with a1*X1**2 + a2*X2**2 == target, else None.
 
     Walks X1 in enumeration order, less the X1 whose square an earlier
-    X1 gave (``_scan``), and looks the residual's payload key up in the
+    X1 gave (``_scan``), and looks the residual's first root up in the
     square set of a2 (reused across calls when passed in and over this
-    field).  A zero term goes first, and then X1 = 0 alone: with no set
-    passed in, a target outside a2's classes is a miss with no set built.
+    field).  A zero term goes first.  X1 = 0 leaves the target itself,
+    and with a1 = 0 so does every X1, so then X1 = 0 alone is tried.
     """
     a1, a2 = field(a1), field(a2)
     if a1 and not a2:
         found = representable_two_term(a2, a1, target, field)
         return None if found is None else found[::-1]
-    tables, zero = _tables(field), field.zero().payload
-    # with a1 = 0 every X1 leaves the target itself as the residual
-    key = None if a1 else tuple(field(e).payload for e in target.entries())
     if square_set is None or square_set.field != field or square_set.coeff != a2:
-        if key is not None and _class_of(tables, zero)(*key) not in _square_classes(tables, a2.payload, zero):
-            return None
         square_set = build_square_set(field, a2)
-    first, matrix = square_set._first, square_set._matrix
-    if key is not None:
-        x2 = first.get(key)
-        return None if x2 is None else (Mat2.zero(field), matrix(x2))
-    for x in _scan(tables, zero):
+    first_x, matrix = square_set._first_x, square_set._matrix
+    x2 = first_x(*(field(e).payload for e in target.entries()))
+    if x2 is not None:
+        return Mat2.zero(field), matrix(x2)
+    if not a1:
+        return None
+    for x in itertools.islice(_scan(_tables(field), field.zero().payload), 1, None):  # after X1 = 0
         x1 = matrix(x)
-        x2 = first.get(_payloads(target - x1.square(a1)))
+        r = target - x1.square(a1)
+        x2 = first_x(r.e11.payload, r.e12.payload, r.e21.payload, r.e22.payload)
         if x2 is not None:
             return x1, matrix(x2)
     return None
@@ -300,10 +293,14 @@ def check_universal_exhaustive(a1, a2, field: Field) -> tuple[bool, Mat2 | None]
     if not field(a2):
         a1, a2 = a2, a1
     tables = _tables(field)
-    payloads, add, neg = tables.payloads, tables.add, tables.neg
+    payloads, add, mul, neg = tables.payloads, tables.add, tables.mul, tables.neg
     zero, one = field.zero().payload, field.one().payload
     k1, k2 = field(a1).payload, field(a2).payload
-    similarity_class = _class_of(tables, zero)
+
+    def similarity_class(m11, m12, m21, m22):  # (s,) for s*I, else (trace, det)
+        if m12 == m21 == zero and m11 == m22:
+            return (m11,)
+        return add[m11][m22], add[mul[m11][m22]][neg[mul[m12][m21]]]
 
     representatives = {(s,): (s, zero, zero, s) for s in payloads}
     representatives.update({(t, d): (zero, neg[d], one, t) for t in payloads for d in payloads})

@@ -81,13 +81,17 @@ class TestSquareSet:
 
     def test_first_preimage_consistency(self):
         squares = build_square_set(GF3, 2)
-        for value, x in squares._first.items():
-            assert squares._matrix(x).square().scale(GF3(2)) == squares._matrix(value)
+        members = set(squares.members)
+        for value in itertools.product([e.payload for e in GF3.elements()], repeat=4):
+            x = squares._first_x(*value)
+            assert (x is not None) == (value in members), value
+            if x is not None:
+                assert squares._matrix(x).square().scale(GF3(2)) == squares._matrix(value)
 
     def test_preimage_is_first_in_order(self):
         squares = build_square_set(GF2, 1)
         zero = (0, 0, 0, 0)  # payload 4-tuple of the zero matrix over GF(2)
-        assert squares._matrix(squares._first[zero]) == Mat2.zero(GF2)
+        assert squares._matrix(squares._first_x(*zero)) == Mat2.zero(GF2)
 
     def test_order_bound(self):
         with pytest.raises(FieldTooLargeError):
@@ -114,8 +118,8 @@ class TestSquareSet:
             for x in all_matrices(field):
                 first.setdefault(x.square().scale(a), x)
             squares = build_square_set(field, a)
-            matrix = squares._matrix
-            assert [(matrix(v), matrix(x)) for v, x in squares._first.items()] == list(first.items()), a
+            matrix, first_x = squares._matrix, squares._first_x
+            assert [(matrix(v), matrix(first_x(*v))) for v in squares.members] == list(first.items()), a
 
     def test_build_takes_no_matrix_square(self, square_calls):
         squares = build_square_set(GF9, 1)
@@ -137,7 +141,7 @@ class TestSquareSet:
         calls.update(_add=0, _mul=0)  # a second build reuses them
         again = build_square_set(GF9, 1)
         assert calls == {"_add": 0, "_mul": 0}
-        assert again._first == reference_first(GF9, 1)
+        assert list(again.members) == list(reference_first(GF9, 1))
 
     # in characteristic 2 every X of nonzero trace gives a square of its own
     @pytest.mark.parametrize(
@@ -266,10 +270,11 @@ class TestPayloadSweep:
 
 
 def reference_first(field, coeff):
-    """build_square_set's payload map from every X, as a reference.
+    """The payload 4-tuple of each coeff * X**2 -> that of its first X,
+    from every X, as a reference for square sets.
 
-    The same tables and loop, without the skip rules: each of the q**4
-    payload 4-tuples X goes through ``setdefault``.
+    Plain q x q tables and no skip rules: each of the q**4 payload
+    4-tuples X goes through ``setdefault``.
     """
     payloads = [e.payload for e in field.elements()]
     add = {x: {y: field._add(x, y) for y in payloads} for x in payloads}
@@ -329,11 +334,16 @@ def reference_query(a1, a2, target, field):
 class TestSkipRules:
     """Square sets skip repeated squares; sweeps test one target per class."""
 
+    # the closed form against the full enumeration: every member in order,
+    # and the first X of every one of the q**4 targets, members and misses
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     def test_every_coefficient_matches_full_enumeration(self, field):
+        targets = list(itertools.product([e.payload for e in field.elements()], repeat=4))
         for a in field.elements():
-            expected = list(reference_first(field, a).items())
-            assert list(build_square_set(field, a)._first.items()) == expected, a
+            expected, squares = reference_first(field, a), build_square_set(field, a)
+            assert list(squares.members) == list(expected), a
+            first_x, get = squares._first_x, expected.get
+            assert [t for t in targets if first_x(*t) != get(t)] == [], a
 
     @pytest.mark.parametrize("field", FIELDS[:7], ids=FIELD_IDS[:7])
     def test_every_pair_matches_target_walk(self, field):
@@ -442,13 +452,29 @@ class TestQueryScan:
 
     def test_one_term_miss_builds_no_square_set(self, monkeypatch):
         def refused(*args):
-            raise AssertionError("a miss built a square set")
+            raise AssertionError("a miss walked X")
 
-        monkeypatch.setattr(m2forms.oracle, "build_square_set", refused)
+        monkeypatch.setattr(m2forms.oracle, "_scaled_squares", refused)
+        monkeypatch.setattr(m2forms.oracle, "_scan", refused)
         t, nilpotent = GF16.parse("t"), Mat2.nilpotent(GF16)
         for coeffs in ([1], [t], [t, 0], [0, t]):
             assert first_solution(coeffs, nilpotent, GF16) is None, coeffs
         assert first_solution([0], Mat2.identity(GF16), GF16) is None
+
+    # a square set holds no members: building one and looking up the hits
+    # below form no square of the set (answers pinned from the enumeration)
+    def test_build_and_hits_walk_nothing_to_build(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a square set was walked")
+
+        monkeypatch.setattr(m2forms.oracle, "_scaled_squares", refused)
+        t = GF16.parse("t")
+        squares = build_square_set(GF16, t)
+        assert Mat2.identity(GF16) in squares and Mat2.nilpotent(GF16) not in squares
+        found = first_solution([1], Mat2.identity(GF16), GF16)
+        assert [str(x) for x in found] == ["[[0,1],[1,0]]"]
+        found = first_solution([1, t], Mat2.nilpotent(GF16), GF16)  # X1 = 0 misses
+        assert [str(x) for x in found] == ["[[0,0],[0,1]]", "[[0,t^3+t+1],[0,t^3+t+1]]"]
 
 
 class TestPayloadKeys:
@@ -456,7 +482,7 @@ class TestPayloadKeys:
 
     def test_build_and_members_make_no_matrix(self, mat2_inits):
         squares = build_square_set(GF9, 1)
-        assert len(squares.members) == 2381 and squares.members == squares._first.keys()
+        assert len(squares.members) == 2381 and type(squares.members) is type({}.keys())
         assert mat2_inits == []
 
     def test_matrix_over_another_field_with_member_payloads(self):
@@ -470,12 +496,11 @@ class TestPayloadKeys:
 
     @pytest.mark.parametrize("other", [0, None, "[[0,0],[0,0]]"], ids=["int", "None", "str"])
     def test_non_matrix_not_in(self, other):
-        zero = (0, 0, 0, 0)  # payload 4-tuple of the zero matrix over GF(2)
         for squares in (
             build_square_set(GF2, 1),
             build_square_set(GF7, 0),
             build_square_set(GF9, 1),
-            SquareSet(GF2, GF2(0), {zero: zero}),
+            SquareSet(GF2, GF2(0)),
         ):
             assert other not in squares
 
@@ -538,9 +563,10 @@ class TestOneTermAsTwoTerm:
 
     def test_zero_coefficient_set_needs_no_squaring(self, square_calls):
         squares = build_square_set(GF16, 0)
-        matrix = squares._matrix
-        assert {matrix(v): matrix(x) for v, x in squares._first.items()} == {
+        matrix, first_x = squares._matrix, squares._first_x
+        assert {matrix(v): matrix(first_x(*v)) for v in squares.members} == {
             Mat2.zero(GF16): Mat2.zero(GF16)}
+        assert first_x(*_payloads(Mat2.identity(GF16))) is None
         assert square_calls == []
 
     # a zero term is the zero matrix, so X1 = 0 is the only X1 tried: a hit
